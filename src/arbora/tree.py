@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import BadVertex, LevelTooLarge, MalformedToken
-from .words import Alphabet, Word, parse_word, format_word
+from .words import Alphabet, Word, _reduced, parse_word, format_word
 
 Vertex = tuple[int, ...]
 
@@ -159,8 +159,10 @@ class RecursionTable:
     names: tuple[str, ...]
     sections: tuple[tuple[Word, ...], ...]
     perms: tuple[Permutation, ...]
-    # flat per-(letter, slot) lookups, filled in __post_init__
-    _sect: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    # per-letter rows indexed by slot (entry 0 unused), filled in
+    # __post_init__: _steps[l][x] is (section letters of l at x, image of x)
+    # and _img[l][x] the image alone
+    _steps: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _img: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -178,20 +180,19 @@ class RecursionTable:
         for p in self.perms:
             if p.degree != d:
                 raise MalformedToken(f"permutation degree {p.degree} != {d}")
-        sect: dict[tuple[int, int], tuple[int, ...]] = {}
-        img: dict[tuple[int, int], int] = {}
+        steps: dict[int, tuple] = {}
+        img: dict[int, tuple[int, ...]] = {}
         for i in range(1, d + 1):
-            perm = self.perms[i - 1]
-            inv = perm.inverse()
-            for x in range(1, d + 1):
-                sect[i, x] = self.sections[i - 1][x - 1].letters
-                img[i, x] = perm(x)
-                pre = inv(x)
-                sect[-i, x] = tuple(
-                    -l for l in reversed(self.sections[i - 1][pre - 1].letters)
-                )
-                img[-i, x] = pre
-        object.__setattr__(self, "_sect", sect)
+            row = self.sections[i - 1]
+            images = (0,) + self.perms[i - 1].images
+            pre = (0,) + self.perms[i - 1].inverse().images
+            img[i], img[-i] = images, pre
+            steps[i] = ((), *((row[x - 1].letters, images[x]) for x in range(1, d + 1)))
+            steps[-i] = ((), *(
+                (tuple(-l for l in reversed(row[pre[x] - 1].letters)), pre[x])
+                for x in range(1, d + 1)
+            ))
+        object.__setattr__(self, "_steps", steps)
         object.__setattr__(self, "_img", img)
 
 
@@ -225,30 +226,44 @@ def format_vertex(v: Vertex) -> str:
 
 def _fold_once(table: RecursionTable, letters: tuple[int, ...], x: int):
     """One level of the fold: return (section letters at x, image of x)."""
-    sect = table._sect
-    img = table._img
-    out: list[int] = []
+    steps = table._steps
+    # the sentinel 0 never cancels a letter, so the stack needs no
+    # emptiness test
+    out = [0]
+    pop, push = out.pop, out.append
     cur = x
     for l in letters:
-        for s in sect[l, cur]:
-            if out and out[-1] == -s:
-                out.pop()
+        sec, cur = steps[l][cur]
+        for s in sec:
+            if out[-1] == -s:
+                pop()
             else:
-                out.append(s)
-        cur = img[l, cur]
-    return tuple(out), cur
+                push(s)
+    return tuple(out[1:]), cur
 
 
-def section_letters(table: RecursionTable, letters: tuple[int, ...], v: Vertex):
-    for x in v:
-        letters, _ = _fold_once(table, letters, x)
-    return letters
+def _root_images(table: RecursionTable, letters: tuple[int, ...]) -> tuple[int, ...]:
+    """Images of the first-level slots 1..d under the letters."""
+    rows = list(map(table._img.__getitem__, letters))
+    images = []
+    for x in table.alphabet.indices():
+        cur = x
+        for row in rows:
+            cur = row[cur]
+        images.append(cur)
+    return tuple(images)
 
 
 def section(table: RecursionTable, w: Word, v: Sequence[int]) -> Word:
     """The section of w at vertex v (freely reduced)."""
     check_vertex(v, table.alphabet.d)
-    return Word(table.alphabet, section_letters(table, w.letters, tuple(v)))
+    if not v:
+        # no fold has looked the letters up in the table: validate them
+        return Word(table.alphabet, w.letters)
+    letters = w.letters
+    for x in v:
+        letters, _ = _fold_once(table, letters, x)
+    return _reduced(table.alphabet, letters)
 
 
 def act_vertex(table: RecursionTable, w: Word, v: Sequence[int]) -> Vertex:
@@ -265,24 +280,16 @@ def act_vertex(table: RecursionTable, w: Word, v: Sequence[int]) -> Vertex:
 def word_permutation(table: RecursionTable, w: Word | tuple[int, ...]) -> Permutation:
     """The permutation induced on the first level."""
     letters = w.letters if isinstance(w, Word) else w
-    img = table._img
-    images = []
-    for x in table.alphabet.indices():
-        cur = x
-        for l in letters:
-            cur = img[l, cur]
-        images.append(cur)
-    return Permutation(tuple(images))
+    return Permutation(_root_images(table, letters))
 
 
 def wreath(table: RecursionTable, w: Word) -> WreathRecursion:
     """All first-level sections together with the root permutation."""
-    d = table.alphabet.d
-    sections = tuple(
-        Word(table.alphabet, _fold_once(table, w.letters, x)[0])
-        for x in range(1, d + 1)
+    folds = [_fold_once(table, w.letters, x) for x in table.alphabet.indices()]
+    return WreathRecursion(
+        tuple(_reduced(table.alphabet, sec) for sec, _ in folds),
+        Permutation(tuple(image for _, image in folds)),
     )
-    return WreathRecursion(sections, word_permutation(table, w))
 
 
 def level_permutation(
@@ -321,7 +328,7 @@ def portrait(
     def build(letters: tuple[int, ...], remaining: int) -> Portrait:
         perm = word_permutation(table, letters)
         if remaining == 0:
-            return Portrait(perm, residual=Word(table.alphabet, letters))
+            return Portrait(perm, residual=_reduced(table.alphabet, letters))
         children = tuple(
             build(_fold_once(table, letters, x)[0], remaining - 1)
             for x in range(1, d + 1)

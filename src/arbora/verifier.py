@@ -15,6 +15,7 @@ that only make sense at some arities return a "skip" report elsewhere.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -820,14 +821,8 @@ def _mapping_order(images: tuple) -> int:
             seen[t] = True
             t = index[images[t]]
             length += 1
-        order = _lcm(order, length)
+        order = math.lcm(order, length)
     return order
-
-
-def _lcm(a: int, b: int) -> int:
-    import math
-
-    return a * b // math.gcd(a, b)
 
 
 # ---------------------------------------------------------------------------

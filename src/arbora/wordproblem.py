@@ -28,8 +28,8 @@ import sys
 from dataclasses import dataclass
 
 from .errors import NodeBudgetExceeded, StrategyMismatch
-from .tree import RecursionTable, _fold_once, level_permutation, word_permutation
-from .words import SignPure, Word, concat, cyclic_normalize, invert
+from .tree import RecursionTable, _fold_once, _root_images, level_permutation
+from .words import SignPure, Word, _reduced, concat, cyclic_normalize, invert
 
 DEFAULT_MAX_NODES = 10**7
 
@@ -93,6 +93,7 @@ def is_identity(
     stats = {"nodes": 0, "depth": 0, "hits": 0}
     memo: dict[tuple[int, ...], bool] = {}
     alphabet = table.alphabet
+    fixed = tuple(alphabet.indices())
 
     def decide(letters: tuple[int, ...], depth: int) -> bool:
         stats["nodes"] += 1
@@ -107,7 +108,7 @@ def is_identity(
         cached = memo.get(letters)
         if cached is not None:
             return cached
-        if not word_permutation(table, letters).is_identity:
+        if _root_images(table, letters) != fixed:
             memo[letters] = False
             return False
         if use_shortcut and _exponents_nonzero(letters, d):
@@ -117,7 +118,7 @@ def is_identity(
         if _sign_pure(letters):
             memo[letters] = False
             return False
-        normalized = cyclic_normalize(Word(alphabet, letters))
+        normalized = cyclic_normalize(_reduced(alphabet, letters))
         if isinstance(normalized, SignPure):
             # conjugate of a nonempty one-signed word: never the identity
             memo[letters] = False
@@ -131,8 +132,9 @@ def is_identity(
         memo[letters] = result
         return result
 
+    limit = sys.getrecursionlimit()
     needed = len(w) * 3 + 100
-    if sys.getrecursionlimit() < needed:
+    if limit < needed:
         sys.setrecursionlimit(needed)
     try:
         verdict = decide(w.letters, 1)
@@ -142,6 +144,8 @@ def is_identity(
             "section recursion exhausted the stack before reaching a "
             "decision; the table may not admit a terminating search"
         ) from None
+    finally:
+        sys.setrecursionlimit(limit)
     return Decision(verdict, stats["nodes"], stats["depth"], stats["hits"])
 
 

@@ -4,7 +4,10 @@ A letter is a nonzero signed integer: ``+i`` is the i-th generator,
 ``-i`` its inverse (1-based, ``1 <= i <= d``).  A :class:`Word` stores a
 tuple of such letters together with its :class:`Alphabet` and is always
 freely reduced; raw letter sequences exist only transiently on the way
-into the constructor.
+into the constructor.  The public constructor and :func:`parse_word`
+validate and reduce once; words derived from valid words inside the
+library (products, inverses, normal forms, sections) are built by the
+internal ``_reduced`` without checking again.
 
 Text form: tokens separated by whitespace, each token a generator name,
 an optional trailing apostrophe for the inverse, and an optional
@@ -17,6 +20,7 @@ word.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import (
@@ -106,20 +110,33 @@ class Word:
 
     def __pow__(self, n: int) -> "Word":
         base = self if n >= 0 else invert(self)
-        result = Word(self.alphabet)
-        for _ in range(abs(n)):
-            result = concat(result, base)
+        result = _reduced(self.alphabet, ())
+        n = abs(n)
+        while n:
+            if n & 1:
+                result = concat(result, base)
+            n >>= 1
+            if n:
+                base = concat(base, base)
         return result
 
     def conjugated(self, h: "Word") -> "Word":
         """h^-1 * self * h."""
         return concat(concat(invert(h), self), h)
 
-    def typed_letters(self) -> tuple[Letter, ...]:
-        return tuple(Letter.from_int(l) for l in self.letters)
-
     def __str__(self) -> str:
         return format_word(self)
+
+
+def _reduced(alphabet: Alphabet, letters: tuple[int, ...]) -> Word:
+    """A Word from letters already valid over alphabet and freely reduced.
+
+    Internal: skips the public constructor's validation and reduction, so
+    callers must only pass letters built from valid, reduced words."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "alphabet", alphabet)
+    object.__setattr__(w, "letters", letters)
+    return w
 
 
 @dataclass(frozen=True)
@@ -145,7 +162,7 @@ def free_reduce(alphabet: Alphabet, raw: Iterable[int]) -> Word:
 
 
 def invert(w: Word) -> Word:
-    return Word(w.alphabet, tuple(-l for l in reversed(w.letters)))
+    return _reduced(w.alphabet, tuple(-l for l in reversed(w.letters)))
 
 
 def concat(u: Word, v: Word) -> Word:
@@ -153,7 +170,13 @@ def concat(u: Word, v: Word) -> Word:
         raise AlphabetMismatch(
             f"cannot concatenate words over arities {u.alphabet.d} and {v.alphabet.d}"
         )
-    return Word(u.alphabet, u.letters + v.letters)
+    # both factors are reduced, so letters can only cancel at the seam
+    left, right = u.letters, v.letters
+    i, j, n = len(left), 0, len(right)
+    while i and j < n and left[i - 1] == -right[j]:
+        i -= 1
+        j += 1
+    return _reduced(u.alphabet, left[:i] + right[j:])
 
 
 def commutator(u: Word, v: Word) -> Word:
@@ -183,22 +206,29 @@ def cyclic_normalize(w: Word) -> Union[Word, SignPure]:
     pair exists and the SignPure marker wrapping that conjugate is
     returned instead.
     """
-    if not w.letters:
+    letters = w.letters
+    if not letters:
         raise EmptyWord("cannot cyclically normalize the empty word")
-    letters = list(w.letters)
-    while len(letters) >= 2 and letters[0] == -letters[-1]:
-        letters = letters[1:-1]
+    i, j = 0, len(letters) - 1
+    while i < j and letters[i] == -letters[j]:
+        i += 1
+        j -= 1
     # A nonempty freely reduced word never cyclically reduces to nothing:
     # the final two letters would have had to cancel inside a reduced word.
-    assert letters
-    if all(l > 0 for l in letters) or all(l < 0 for l in letters):
-        return SignPure(Word(w.alphabet, tuple(letters)))
-    n = len(letters)
-    for j in range(n):
-        if letters[j] < 0 and letters[(j + 1) % n] > 0:
-            k = (j + 2) % n
-            return Word(w.alphabet, tuple(letters[k:] + letters[:k]))
-    raise AssertionError("mixed-sign cyclic word without a descent pair")
+    core = letters[i : j + 1]
+    # one byte per letter, 1 where the letter is positive, so that the
+    # sign tests and the search for the pair run as bytes scans
+    signs = bytes(map((0).__lt__, core))
+    if 0 not in signs or 1 not in signs:
+        return SignPure(_reduced(w.alphabet, core))
+    pair = signs.find(b"\x00\x01")
+    if pair < 0:
+        # no pair inside the core, so it wraps: last letter negative,
+        # first letter positive
+        pair = len(core) - 1
+    k = (pair + 2) % len(core)
+    # a rotation of a cyclically reduced word is reduced
+    return _reduced(w.alphabet, core[k:] + core[:k])
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +242,34 @@ def canonical_names(alphabet: Alphabet) -> tuple[str, ...]:
     return tuple(f"a{i}" for i in alphabet.indices())
 
 
-def _name_table(alphabet: Alphabet, names: Mapping[str, int] | None) -> Mapping[str, int]:
-    if names is not None:
-        return names
-    table = {f"a{i}": i for i in alphabet.indices()}
-    if alphabet.d == 3:
-        table.update({"a": 1, "b": 2, "c": 3})
-    return table
+def _plain_tokens(names: Mapping[str, int], d: int) -> dict[str, int]:
+    """``name`` and ``name'`` -> letter, for the names with an index in 1..d.
+
+    A name that the token reader never looks up (empty, ``e``, or holding
+    ``'`` or ``^``) is left out, so such a token still takes the general
+    path and fails the same way."""
+    tokens: dict[str, int] = {}
+    for name, index in names.items():
+        if (
+            isinstance(name, str)
+            and type(index) is int
+            and 1 <= index <= d
+            and name not in ("", "e")
+            and "'" not in name
+            and "^" not in name
+        ):
+            tokens[name] = index
+            tokens[name + "'"] = -index
+    return tokens
+
+
+@lru_cache(maxsize=32)
+def _default_tokens(d: int) -> tuple[dict[str, int], dict[str, int]]:
+    """The canonical names (plus the d = 3 aliases) and their plain tokens."""
+    names = {f"a{i}": i for i in range(1, d + 1)}
+    if d == 3:
+        names.update({"a": 1, "b": 2, "c": 3})
+    return names, _plain_tokens(names, d)
 
 
 def parse_word(
@@ -230,9 +281,32 @@ def parse_word(
     names (plus the d = 3 aliases) are used.  Custom recursion tables
     pass their own name set.
     """
-    table = _name_table(alphabet, names)
+    d = alphabet.d
+    if names is None:
+        table, tokens = _default_tokens(d)
+    else:
+        table, tokens = names, _plain_tokens(names, d)
+    parts = text.split()
+    letters = list(map(tokens.get, parts))
+    if None in letters:
+        letters = _read_tokens(parts, table, tokens, d)
+    if len(tokens) != 2 * len(table):
+        # some name maps outside 1..d (or cannot be a token at all):
+        # validate every letter the way the public constructor does
+        return Word(alphabet, tuple(letters))
+    return _reduced(alphabet, reduce_letters(letters))
+
+
+def _read_tokens(
+    parts: list[str], table: Mapping[str, int], tokens: Mapping[str, int], d: int
+) -> list[int]:
+    """Letters of the tokens one by one: ``e``, ``^`` and error cases."""
     letters: list[int] = []
-    for token in text.split():
+    for token in parts:
+        letter = tokens.get(token)
+        if letter is not None:
+            letters.append(letter)
+            continue
         if token == "e":
             continue
         body = token
@@ -251,16 +325,14 @@ def parse_word(
             raise MalformedToken(f"cannot read token {token!r}")
         index = table.get(body)
         if index is None:
-            raise UnknownGenerator(
-                f"unknown generator {body!r} for arity {alphabet.d}"
-            )
+            raise UnknownGenerator(f"unknown generator {body!r} for arity {d}")
         if len(letters) + abs(exponent) > MAX_WORD_LETTERS:
             raise MalformedToken(
                 f"word exceeds the {MAX_WORD_LETTERS} letter cap"
             )
         letter = index * sign * (1 if exponent >= 0 else -1)
         letters.extend([letter] * abs(exponent))
-    return Word(alphabet, tuple(letters))
+    return letters
 
 
 def format_word(w: Word, names: tuple[str, ...] | None = None) -> str:

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arbora.errors import BadVertex, LevelTooLarge, MalformedToken
+from arbora.errors import BadVertex, LevelTooLarge, MalformedToken, UnknownGenerator
 from arbora.family import build_table
 from arbora.tree import (
     Permutation,
@@ -141,6 +141,11 @@ def test_sections_of_products():
     assert section(T3, w3("a b c"), (1,)) == w3("a b c")
     assert section(T3, w3("a b c"), (1, 2)) == w3("b a")
     assert section(T3, empty_word(T3.alphabet), (2, 2)) == w3("e")
+
+
+def test_section_at_root_validates_foreign_letters():
+    with pytest.raises(UnknownGenerator):
+        section(T3, Word(Alphabet(5), (5,)), ())
 
 
 def test_wreath_table_entries():
@@ -286,3 +291,59 @@ def test_level_permutation_matches_pointwise_action(w):
         act_vertex(T3, w, (x, y)) for x in range(1, 4) for y in range(1, 4)
     ]
     assert list(images) == listed
+
+
+# ---------------------------------------------------------------------------
+# the fold against direct evaluation from the table's rows
+
+README = load_table(
+    "x = (e, e, x) (1 2 3)\ny = (y, e, e) ()\nz = (e, z, e) (1 3)\n"
+)
+# sections of several letters, so that inverse letters must reverse them
+LONG = load_table(
+    "p = (p q, e, q' r p) (1 2)\nq = (e, r' q, p) ()\nr = (q p' r, p, e) (1 3 2)\n"
+)
+
+
+def letter_step(table, letter, x):
+    """Section letters and image of one letter at slot x, from the rows."""
+    i = abs(letter)
+    images = table.perms[i - 1].images
+    if letter > 0:
+        return table.sections[i - 1][x - 1].letters, images[x - 1]
+    pre = images.index(x) + 1
+    return tuple(-l for l in reversed(table.sections[i - 1][pre - 1].letters)), pre
+
+
+def direct_fold(table, letters, x):
+    """Unreduced section letters of a word at slot x, and the image of x."""
+    out = []
+    for letter in letters:
+        sec, x = letter_step(table, letter, x)
+        out += sec
+    return out, x
+
+
+def direct_act(table, letters, v):
+    image = []
+    for x in v:
+        letters, y = direct_fold(table, letters, x)
+        image.append(y)
+    return tuple(image)
+
+
+@pytest.mark.parametrize(
+    "table", [T3, T4, T5, README, LONG], ids=["d3", "d4", "d5", "readme", "long"]
+)
+@given(data=st.data())
+@settings(max_examples=40)
+def test_fold_matches_direct_evaluation(table, data):
+    d = table.alphabet.d
+    w = data.draw(table_words(table, max_len=16))
+    v = data.draw(vertices(d, 3))
+    direct = [direct_fold(table, w.letters, x) for x in range(1, d + 1)]
+    assert word_permutation(table, w).images == tuple(y for _, y in direct)
+    rec = wreath(table, w)
+    assert rec.perm.images == tuple(y for _, y in direct)
+    assert rec.sections == tuple(Word(table.alphabet, tuple(s)) for s, _ in direct)
+    assert act_vertex(table, w, v) == direct_act(table, w.letters, v)

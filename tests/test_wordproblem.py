@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -180,3 +182,22 @@ def test_positive_words_are_never_identities_exhaustively():
                 T3, Word(T3.alphabet, letters), strategy="generic"
             ).is_identity
     assert count == sum(3**l for l in range(1, 9))
+
+
+
+def test_recursion_limit_is_restored():
+    import random
+
+    rng = random.Random(3)
+    pool = (1, 2, 3, -1, -2, -3)
+    u = Word(T3.alphabet, tuple(rng.choice(pool) for _ in range(40_000)))
+    # a^2 b a'^2 b' fixes level one and has zero letter counts, so the
+    # search recurses past the root
+    w = w3("a a b a' a' b'").conjugated(u)
+    assert len(w) > 40_000
+    before = sys.getrecursionlimit()
+    assert is_identity(T3, w).nodes_explored > 1
+    assert sys.getrecursionlimit() == before
+    with pytest.raises(NodeBudgetExceeded):
+        is_identity(T3, w, max_nodes=1)
+    assert sys.getrecursionlimit() == before

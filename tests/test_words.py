@@ -226,3 +226,132 @@ def test_cyclic_normalize_preserves_counts(w):
 def test_free_reduce_helper():
     assert free_reduce(A3, [1, -1]).letters == ()
     assert free_reduce(A3, [1, 2]) == Word(A3, (1, 2))
+
+
+# ---------------------------------------------------------------------------
+# the letter kernel against plain references
+
+
+def peel_by_slicing(letters):
+    """Reference cyclic normalization: peel by slicing, rotate by scanning."""
+    letters = list(letters)
+    while len(letters) >= 2 and letters[0] == -letters[-1]:
+        letters = letters[1:-1]
+    if all(l > 0 for l in letters) or all(l < 0 for l in letters):
+        return "pure", tuple(letters)
+    n = len(letters)
+    for j in range(n):
+        if letters[j] < 0 and letters[(j + 1) % n] > 0:
+            k = (j + 2) % n
+            return "word", tuple(letters[k:] + letters[:k])
+
+
+def normalized(w):
+    out = cyclic_normalize(w)
+    if isinstance(out, SignPure):
+        return "pure", out.core.letters
+    return "word", out.letters
+
+
+@given(words(max_len=16), words(max_len=6))
+@settings(max_examples=150)
+def test_cyclic_normalize_matches_slice_peel(core, u):
+    w = concat(concat(invert(u), core), u)
+    if not w.letters:
+        return
+    assert normalized(w) == peel_by_slicing(w.letters)
+
+
+def test_cyclic_normalize_long_conjugates():
+    import random
+
+    rng = random.Random(7)
+    pool = [1, 2, 3, -1, -2, -3]
+    for core in [(1, -2), (-1, -2, 3), (2, 2, 1), (-3, 1, -2, 1)]:
+        u = Word(A3, tuple(rng.choice(pool) for _ in range(3000)))
+        w = concat(concat(invert(u), Word(A3, core)), u)
+        assert normalized(w) == peel_by_slicing(w.letters)
+
+
+README_NAMES = {"x": 1, "y": 2, "z": 3}
+
+
+def parse_token_by_token(text, alphabet, names=None):
+    """Reference reader: each token on its own, then the public constructor."""
+    if names is None:
+        names = {f"a{i}": i for i in alphabet.indices()}
+        if alphabet.d == 3:
+            names.update({"a": 1, "b": 2, "c": 3})
+    letters = []
+    for token in text.split():
+        if token == "e":
+            continue
+        body, caret, exp_text = token.partition("^")
+        try:
+            exponent = int(exp_text) if caret else 1
+        except ValueError:
+            raise MalformedToken(token)
+        sign = -1 if body.endswith("'") else 1
+        body = body[:-1] if sign < 0 else body
+        if not body or "'" in body or "^" in body:
+            raise MalformedToken(token)
+        if body not in names:
+            raise UnknownGenerator(body)
+        letter = names[body] * sign * (1 if exponent >= 0 else -1)
+        letters += [letter] * abs(exponent)
+    return Word(alphabet, tuple(letters))
+
+
+def outcome(parse, *args):
+    try:
+        return parse(*args)
+    except (MalformedToken, UnknownGenerator) as exc:
+        return type(exc)
+
+
+TOKENS = st.sampled_from(
+    ["a", "b'", "c", "a1", "a2'", "a3", "a4", "e", "a^3", "b'^2", "c^-2",
+     "a^0", "x", "y'", "z^2", "x'^-1", "a''", "a'b", "^2", "a^x", "a^2^3",
+     "q", "'", "e'"]
+)
+
+
+@given(st.lists(TOKENS, max_size=12), st.sampled_from([3, 4]))
+@settings(max_examples=200)
+def test_parse_matches_token_by_token_reference(tokens, d):
+    text = " ".join(tokens)
+    alphabet = Alphabet(d)
+    assert outcome(parse_word, text, alphabet) == outcome(
+        parse_token_by_token, text, alphabet
+    )
+    assert outcome(parse_word, text, alphabet, README_NAMES) == outcome(
+        parse_token_by_token, text, alphabet, README_NAMES
+    )
+
+
+def test_parse_validates_names_outside_the_alphabet():
+    with pytest.raises(UnknownGenerator):
+        parse_word("x y", A3, {"x": 1, "y": 4})
+    with pytest.raises(UnknownGenerator):
+        parse_word("y^2", A3, {"x": 1, "y": 0})
+    assert parse_word("x x'", A3, {"x": 1, "y": 4}).letters == ()
+    with pytest.raises(UnknownGenerator):
+        parse_word("x'", A3, {"x'": 1})
+
+
+@given(words(), words())
+@settings(max_examples=100)
+def test_concat_and_invert_match_the_public_constructor(u, v):
+    joined = concat(u, v)
+    direct = Word(A3, u.letters + v.letters)
+    assert joined == direct and hash(joined) == hash(direct)
+    inverse = invert(u)
+    direct = Word(A3, tuple(-l for l in reversed(u.letters)))
+    assert inverse == direct and hash(inverse) == hash(direct)
+
+
+@given(words(max_len=6), st.integers(-20, 20))
+@settings(max_examples=100)
+def test_power_matches_repeated_product(w, n):
+    base = w.letters if n >= 0 else tuple(-l for l in reversed(w.letters))
+    assert w**n == Word(A3, base * abs(n))
