@@ -3,8 +3,8 @@
 The library models group elements as freely reduced words over d
 generators, each generator given by a wreath recursion (d section words
 plus a permutation of the first level).  On top of that it provides the
-vertex action, sections at arbitrary vertices, portraits, a branching
-decision procedure for the word problem, a catalog of derived elements,
+vertex action, sections at arbitrary vertices, portraits, a section
+search that decides the word problem, a catalog of derived elements,
 and a verifier that re-derives the identities the whole construction
 rests on.
 """
@@ -21,7 +21,6 @@ from .errors import (
     MalformedToken,
     NameUnavailable,
     NodeBudgetExceeded,
-    StrategyMismatch,
     UnknownGenerator,
 )
 from .family import build_table, catalog, catalog_word, wrap
@@ -87,7 +86,6 @@ from .words import (
     exponent_total,
     exponent_vector,
     format_word,
-    free_reduce,
     invert,
     parse_word,
 )

@@ -54,17 +54,25 @@ def _resolve_table(args) -> RecursionTable:
             raise ArboraError(
                 f"--d {args.d} conflicts with the {table.alphabet.d}-generator table"
             )
-        print(
-            "warning: custom tables are not checked for terminating "
-            "identity searches; budgets still apply",
-            file=sys.stderr,
-        )
+        if any(len(s) > 1 for row in table.sections for s in row):
+            print(
+                "warning: this table has sections longer than one letter, so "
+                "identity searches may not terminate; budgets still apply",
+                file=sys.stderr,
+            )
         return table
     if args.d is None:
         raise ArboraError("one of --d or --table is required")
-    if not 3 <= args.d <= 9:
-        raise ArboraError(f"--d must be between 3 and 9, got {args.d}")
-    return build_table(args.d)
+    return build_table(_family_arity(args.d))
+
+
+def _family_arity(d: int | None) -> int:
+    """The --d of a command that needs the built-in family."""
+    if d is None:
+        raise ArboraError("--d is required")
+    if not 3 <= d <= 9:
+        raise ArboraError(f"--d must be between 3 and 9, got {d}")
+    return d
 
 
 def _names_for(table: RecursionTable) -> dict[str, int] | None:
@@ -113,10 +121,6 @@ def _iter_words(args, table: RecursionTable):
         raise ArboraError("provide a word or --words-file")
 
 
-def _strategy(args) -> str:
-    return args.strategy.replace("-", "_")
-
-
 def cmd_eval(args) -> int:
     table = _resolve_table(args)
     w = _parse(table, args.word)
@@ -138,7 +142,7 @@ def cmd_identity(args) -> int:
     budget = _max_nodes(args)
     batch = bool(getattr(args, "words_file", None))
     for w in _iter_words(args, table):
-        decision = is_identity(table, w, _strategy(args), budget)
+        decision = is_identity(table, w, budget)
         verdict = "identity" if decision.is_identity else "nonidentity"
         stats = f"nodes={decision.nodes_explored} depth={decision.max_depth}"
         if batch:
@@ -185,13 +189,10 @@ def cmd_portrait(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    if args.d is None:
-        raise ArboraError("--d is required")
-    if not 3 <= args.d <= 9:
-        raise ArboraError(f"--d must be between 3 and 9, got {args.d}")
-    entries = catalog(args.d)
+    d = _family_arity(args.d)
+    entries = catalog(d)
     if args.name:
-        print(str(catalog_word(args.d, args.name)))
+        print(str(catalog_word(d, args.name)))
     else:
         for name, w in entries.items():
             print(f"{name} = {w}")
@@ -199,11 +200,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_free_semigroup(args) -> int:
-    if args.d is None:
-        raise ArboraError("--d is required")
-    if not 3 <= args.d <= 9:
-        raise ArboraError(f"--d must be between 3 and 9, got {args.d}")
-    report = check_free_semigroup(args.d, args.max_len)
+    report = check_free_semigroup(_family_arity(args.d), args.max_len)
     status = "PASS" if report.ok else "FAIL"
     print(
         f"words={report.data.get('words', 0)} "
@@ -216,11 +213,7 @@ def cmd_free_semigroup(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    if args.d is None:
-        raise ArboraError("--d is required")
-    if not 3 <= args.d <= 9:
-        raise ArboraError(f"--d must be between 3 and 9, got {args.d}")
-    reports = run_all(args.d, seed=args.seed, max_len=args.max_len)
+    reports = run_all(_family_arity(args.d), seed=args.seed, max_len=args.max_len)
     failed = False
     for rep in reports:
         status = rep.status.upper()
@@ -257,11 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_table_options(p)
     p.add_argument("word", nargs="?")
     p.add_argument("--words-file", help="file with one word per line, # comments")
-    p.add_argument(
-        "--strategy",
-        choices=["auto", "generic", "odd-shortcut"],
-        default="auto",
-    )
     p.add_argument("--max-nodes", type=int, help="search node budget")
     p.set_defaults(func=cmd_identity)
 

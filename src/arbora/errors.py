@@ -41,10 +41,6 @@ class NameUnavailable(ArboraError):
     """The element catalog has no entry with this name for this arity."""
 
 
-class StrategyMismatch(ArboraError):
-    """The odd_shortcut strategy was requested for an even arity."""
-
-
 class NodeBudgetExceeded(ArboraError):
     """The identity decision explored more nodes than the configured cap."""
 

@@ -156,11 +156,6 @@ def empty_word(alphabet: Alphabet) -> Word:
     return Word(alphabet)
 
 
-def free_reduce(alphabet: Alphabet, raw: Iterable[int]) -> Word:
-    """Freely reduce a raw letter sequence into a Word."""
-    return Word(alphabet, tuple(raw))
-
-
 def invert(w: Word) -> Word:
     return _reduced(w.alphabet, tuple(-l for l in reversed(w.letters)))
 

@@ -127,14 +127,14 @@ def test_04_odd_arity_count_law():
         for letters in reduced_tuples(3, 6):
             total += 1
             w = Word(T3.alphabet, letters)
-            if is_identity(T3, w, strategy="generic").is_identity:
+            if is_identity(T3, w).is_identity:
                 identities += 1
                 assert exponent_vector(w) == zero3
         assert total == 23436
         rng = random.Random(0)
         zero5 = (0,) * 5
         for w in sample_words(T5.alphabet, 10**4, 10, rng):
-            if is_identity(T5, w, strategy="generic").is_identity:
+            if is_identity(T5, w).is_identity:
                 assert exponent_vector(w) == zero5
 
 
@@ -203,16 +203,15 @@ def test_12_parity():
         assert report.data["words"] == 1000
 
 
-def test_13_strategy_agreement():
-    with budget(13, 300.0, "generic and shortcut verdicts agree on 10^4 words"):
+def test_13_count_law_on_samples():
+    with budget(13, 300.0, "nonzero counts mean nonidentity on 10^4 words"):
         rng = random.Random(0)
-        disagreements = 0
+        nonzero = 0
         for w in sample_words(T3.alphabet, 10**4, 10, rng):
-            generic = is_identity(T3, w, strategy="generic").is_identity
-            shortcut = is_identity(T3, w, strategy="odd_shortcut").is_identity
-            if generic != shortcut:
-                disagreements += 1
-        assert disagreements == 0
+            if any(exponent_vector(w)):
+                nonzero += 1
+                assert not is_identity(T3, w).is_identity
+        assert nonzero > 0
 
 
 def test_catalog_smoke_for_all_supported_arities():

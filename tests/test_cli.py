@@ -26,14 +26,9 @@ def test_identity_of_a_reducible_word(capsys):
 
 
 def test_identity_strategy_flag(capsys):
-    code, out, _ = run(
-        capsys, "identity", "--d", "3", "--strategy", "odd-shortcut", "a a"
-    )
-    assert code == 0 and out.splitlines()[0] == "nonidentity"
-    code, _, err = run(
-        capsys, "identity", "--d", "4", "--strategy", "odd-shortcut", "a1 a1"
-    )
-    assert code == 2 and "odd" in err
+    # there is one decision procedure, so the flag is gone
+    code, out, err = run(capsys, "identity", "--d", "3", "--strategy", "auto", "a a")
+    assert code == 2 and out == "" and "--strategy" in err
 
 
 def test_identity_words_file(capsys, tmp_path):
@@ -169,9 +164,20 @@ def test_custom_table_file(capsys, tmp_path):
     code, out, err = run(capsys, "section", "--table", str(path), "a b c", "2")
     assert code == 0
     assert out.strip() == "b a"
-    assert "warning" in err
+    assert "warning" not in err  # one-letter sections: the search terminates
     code, _, err = run(capsys, "eval", "--d", "4", "--table", str(path), "a", "1")
     assert code == 2 and "conflicts" in err
+
+
+def test_termination_warning_only_for_long_sections(capsys, tmp_path):
+    readme = tmp_path / "readme.txt"
+    readme.write_text("x = (e, e, x) (1 2 3)\ny = (y, e, e) ()\nz = (e, z, e) (1 3)\n")
+    code, out, err = run(capsys, "identity", "--table", str(readme), "x")
+    assert (code, out.splitlines()[0], err) == (0, "nonidentity", "")
+    long = tmp_path / "long.txt"
+    long.write_text("x = (e, e, x y) (1 2 3)\ny = (y, e, e) ()\nz = (e, z, e) (1 3)\n")
+    code, _, err = run(capsys, "eval", "--table", str(long), "x", "1")
+    assert code == 0 and "warning" in err and "longer than one letter" in err
 
 
 def test_table_names_override_aliases(capsys, tmp_path):

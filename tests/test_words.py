@@ -21,7 +21,6 @@ from arbora.words import (
     exponent_total,
     exponent_vector,
     format_word,
-    free_reduce,
     invert,
     parse_word,
 )
@@ -221,11 +220,6 @@ def test_cyclic_normalize_preserves_counts(w):
     assert exponent_vector(core) == exponent_vector(w)
     if isinstance(out, Word):
         assert out.letters[-2] < 0 < out.letters[-1]
-
-
-def test_free_reduce_helper():
-    assert free_reduce(A3, [1, -1]).letters == ()
-    assert free_reduce(A3, [1, 2]) == Word(A3, (1, 2))
 
 
 # ---------------------------------------------------------------------------
