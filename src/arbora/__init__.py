@@ -75,7 +75,6 @@ from .wordproblem import (
 )
 from .words import (
     Alphabet,
-    Letter,
     SignPure,
     Word,
     canonical_names,

@@ -7,6 +7,12 @@ first-level recovery of all generators, commutator support alignment,
 freeness of the positive words, congruence-style subgroup membership at
 arity 3, and the parity facts that separate odd from even arity.
 
+Closed-form expectations are data.  A wreath row ``(w, perm, {slot:
+letters}, label)`` gives the root permutation of w and its nontrivial
+first-level sections; a hand-back row ``(w, slot, letters, label)`` says
+that w fixes level one and has the given section at one slot.  Each
+kind of row is checked by one shared routine.
+
 Checks return Report records instead of raising on mathematical
 failure, so a batch run can show exactly which identity broke.  Checks
 that only make sense at some arities return a "skip" report elsewhere.
@@ -15,7 +21,6 @@ that only make sense at some arities return a "skip" report elsewhere.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass, field
 
@@ -137,27 +142,37 @@ def _perm_parity(p: Permutation) -> int:
     return moved % 2
 
 
-def _expect_wreath(
-    table: RecursionTable,
-    w: Word,
-    slots: dict[int, Word],
-    perm: Permutation,
-    label: str,
-    problems: list[str],
-) -> None:
-    """Assert the wreath recursion of w equals the given sparse data."""
-    wr = wreath(table, w)
-    if wr.perm != perm:
-        problems.append(f"{label}: permutation {wr.perm} != expected {perm}")
-        return
-    blank = empty_word(table.alphabet)
-    for x in table.alphabet.indices():
-        expected = slots.get(x, blank)
-        if not are_equal(table, wr.sections[x - 1], expected):
-            problems.append(
-                f"{label}: section at {x} is {wr.sections[x - 1]} != {expected}"
-            )
-            return
+def _cycle(d: int, points) -> Permutation:
+    """The cycle sending each point to the next (the identity if < 2)."""
+    return Permutation.from_cycles(d, [tuple(points)])
+
+
+def _expect_wreath_rows(table: RecursionTable, rows, problems: list[str]) -> None:
+    """Each row ``(w, perm, {slot: letters}, label)`` states that w has root
+    permutation perm and, at each listed slot, a section equal to the
+    word with those letters; every unlisted slot must be trivial."""
+    for w, perm, slots, label in rows:
+        wr = wreath(table, w)
+        if wr.perm != perm:
+            problems.append(f"{label}: permutation {wr.perm} != expected {perm}")
+            continue
+        for x, sec in enumerate(wr.sections, start=1):
+            expected = _word(table.alphabet, slots.get(x, ()))
+            if not are_equal(table, sec, expected):
+                problems.append(f"{label}: section at {x} is {sec} != {expected}")
+                break
+
+
+def _expect_hand_backs(table: RecursionTable, rows, problems: list[str]) -> None:
+    """Each row ``(w, slot, letters, label)`` states that w fixes level one
+    and hands back the word with those letters as its section at slot."""
+    for w, x, letters, label in rows:
+        if not in_level_stabilizer(table, w, 1):
+            problems.append(f"{label}: does not stabilize level one")
+            continue
+        sec = section(table, w, (x,))
+        if not are_equal(table, sec, _word(table.alphabet, letters)):
+            problems.append(f"{label}: section at {x} is {sec}")
 
 
 # ---------------------------------------------------------------------------
@@ -216,74 +231,15 @@ def check_exponent_laws(table: RecursionTable, words: list[Word]) -> Report:
 # 2. pairwise section tables
 
 
-def _expected_positive_pair(table: RecursionTable, i: int, j: int):
-    d = table.alphabet.d
-    A = table.alphabet
-    succ_i, succ_j = wrap(d, i + 1), wrap(d, j + 1)
-    perm = Permutation.transposition(d, i, succ_i) * Permutation.transposition(
-        d, j, succ_j
-    )
-    if j == succ_i:
-        slots = {
-            i: _word(A, (i, j)),
-            succ_i: _gen(A, succ_i),
-            wrap(d, i + 2): _gen(A, wrap(d, i + 2)),
-        }
-    elif j == wrap(d, i - 1):
-        slots = {
-            i: _gen(A, i),
-            j: _gen(A, j),
-            succ_i: _word(A, (succ_i, i)),
-        }
-    else:
-        slots = {
-            i: _gen(A, i),
-            j: _gen(A, j),
-            succ_i: _gen(A, succ_i),
-            succ_j: _gen(A, succ_j),
-        }
-    return slots, perm
-
-
-def _expected_negative_pair(table: RecursionTable, i: int, j: int):
-    d = table.alphabet.d
-    A = table.alphabet
-    succ_i, succ_j = wrap(d, i + 1), wrap(d, j + 1)
-    perm = Permutation.transposition(d, i, succ_i) * Permutation.transposition(
-        d, j, succ_j
-    )
-    if j == succ_i:
-        slots = {
-            succ_i: _word(A, (-i,)),
-            wrap(d, i + 2): _gen(A, wrap(d, i + 2)),
-        }
-    elif j == wrap(d, i - 1):
-        slots = {
-            j: _gen(A, j),
-            i: _word(A, (-succ_i,)),
-        }
-    else:
-        slots = {
-            i: _word(A, (-succ_i,)),
-            succ_i: _word(A, (-i,)),
-            j: _gen(A, j),
-            succ_j: _gen(A, succ_j),
-        }
-    return slots, perm
-
-
 def check_section_tables(d: int) -> Report:
     """Two-letter products: recomputed sections match the closed forms."""
     table = build_table(d)
     A = table.alphabet
-    problems: list[str] = []
-    pairs = 0
-
+    rows = []
     if d == 3:
-        lam1 = Permutation((3, 1, 2))
-        lam2 = Permutation((2, 3, 1))
+        lam1, lam2 = Permutation((3, 1, 2)), Permutation((2, 3, 1))
         ident = Permutation.identity(3)
-        nine = [
+        for letters, slots, perm in [
             ((1, 2), {1: (1, 2), 2: (2,), 3: (3,)}, lam1),
             ((2, 1), {1: (1,), 2: (2,), 3: (3, 2)}, lam2),
             ((1, 1), {1: (1, 2), 2: (2, 1)}, ident),
@@ -293,38 +249,39 @@ def check_section_tables(d: int) -> Report:
             ((3, 1), {1: (1,), 2: (2,), 3: (3, 1)}, lam1),
             ((1, 3), {1: (1,), 2: (2, 1), 3: (3,)}, lam2),
             ((3, 3), {1: (1, 3), 3: (3, 1)}, ident),
-        ]
-        for letters, slots, perm in nine:
-            _expect_wreath(
-                table,
-                _word(A, letters),
-                {x: _word(A, ls) for x, ls in slots.items()},
-                perm,
-                f"square table {_word(A, letters)}",
-                problems,
-            )
-            pairs += 1
-
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            if i == j:
+        ]:
+            w = _word(A, letters)
+            rows.append((w, perm, slots, f"square table {w}"))
+    for i in A.indices():
+        i0, i1, i2 = wrap(d, i - 1), wrap(d, i + 1), wrap(d, i + 2)
+        for j in A.indices():
+            if j == i:
                 continue
-            slots, perm = _expected_positive_pair(table, i, j)
-            _expect_wreath(
-                table, _word(A, (i, j)), slots, perm, f"pair a{i} a{j}", problems
+            j1 = wrap(d, j + 1)
+            if j == i1:
+                plain = {i: (i, j), i1: (i1,), i2: (i2,)}
+                mixed = {i1: (-i,), i2: (i2,)}
+            elif j == i0:
+                plain = {i: (i,), j: (j,), i1: (i1, i)}
+                mixed = {j: (j,), i: (-i1,)}
+            else:
+                plain = {i: (i,), j: (j,), i1: (i1,), j1: (j1,)}
+                mixed = {i: (-i1,), i1: (-i,), j: (j,), j1: (j1,)}
+            perm = Permutation.transposition(d, i, i1) * Permutation.transposition(
+                d, j, j1
             )
-            slots, perm = _expected_negative_pair(table, i, j)
-            w = _word(A, (-i, j))
-            _expect_wreath(table, w, slots, perm, f"pair a{i}' a{j}", problems)
-            for s in wreath(table, w).sections:
-                if len(s) > 1:
-                    problems.append(f"mixed pair a{i}' a{j} has a long section {s}")
-            pairs += 2
+            rows.append((_word(A, (i, j)), perm, plain, f"pair a{i} a{j}"))
+            rows.append((_word(A, (-i, j)), perm, mixed, f"pair a{i}' a{j}"))
+    problems: list[str] = []
+    _expect_wreath_rows(table, rows, problems)
+    for w, _, _, label in rows:
+        if w.letters[0] < 0 and any(len(s) > 1 for s in wreath(table, w).sections):
+            problems.append(f"mixed {label} has a long section")
     return _finish(
         "section_tables",
         problems,
-        f"{pairs} two-letter products match their closed forms at arity {d}",
-        pairs=pairs,
+        f"{len(rows)} two-letter products match their closed forms at arity {d}",
+        pairs=len(rows),
     )
 
 
@@ -339,62 +296,32 @@ def check_lemma_chains(d: int) -> Report:
         raise ValueError(f"chain check needs odd arity <= 9, got {d}")
     table = build_table(d)
     cat = catalog(d)
-    problems: list[str] = []
     g, h = cat["g"], cat["h"]
-
-    lam_g = Permutation.from_cycles(d, [tuple(range(d, 1, -1))])
-    if word_permutation(table, g) != lam_g:
-        problems.append("full product has the wrong first-level permutation")
-    lam_h = Permutation.from_cycles(d, [(1, 2) + tuple(range(4, d + 1))])
-    if word_permutation(table, h) != lam_h:
-        problems.append("chain seed has the wrong first-level permutation")
-
-    gp = g ** (d - 1)
-    if not in_level_stabilizer(table, gp, 1):
-        problems.append("g**(d-1) does not stabilize level one")
-    elif not are_equal(table, section(table, gp, (2,)), h):
-        problems.append("g**(d-1) section at 2 is not the chain seed")
-
-    hp = h ** (d - 1)
-    if not in_level_stabilizer(table, hp, 1):
-        problems.append("h**(d-1) does not stabilize level one")
-    elif not are_equal(table, section(table, hp, (1,)), g):
-        problems.append("h**(d-1) section at 1 is not the full product")
-
+    perms = [
+        (g, _cycle(d, range(d, 1, -1)), "full product"),
+        (h, _cycle(d, (1, 2, *range(4, d + 1))), "chain seed"),
+    ]
+    hand_backs = [
+        (g ** (d - 1), 2, h.letters, "g**(d-1)"),
+        (h ** (d - 1), 1, g.letters, "h**(d-1)"),
+        (cat[f"h_{d}"], 1, g.letters, "top climb element"),
+    ]
     for i in range(1, d + 1):
-        climb = cat[f"h_{i}"]
-        expected = (
-            Permutation.transposition(d, 1, 2)
-            if i == 1
-            else Permutation.from_cycles(d, [(i + 1, 2, 1)])
-            if i < d
-            else Permutation.identity(d)
-        )
-        if word_permutation(table, climb) != expected:
-            problems.append(f"climb element {i} has the wrong permutation")
+        points = (1, 2) if i == 1 else (i + 1, 2, 1) if i < d else ()
+        perms.append((cat[f"h_{i}"], _cycle(d, points), f"climb element {i}"))
     for i in range(1, d):
-        exponent = 2 if i == 1 else 3
-        power = cat[f"h_{i}"] ** exponent
-        if not in_level_stabilizer(table, power, 1):
-            problems.append(f"climb {i} power does not stabilize level one")
-        elif not are_equal(table, section(table, power, (1,)), cat[f"h_{i + 1}"]):
-            problems.append(f"climb {i} power does not hand back climb {i + 1}")
-
-    for i in range(1, d):
-        prefix = cat[f"g_{i}"]
-        lam = Permutation.from_cycles(d, [tuple(range(i + 1, 0, -1))])
-        if word_permutation(table, prefix) != lam:
-            problems.append(f"prefix {i} has the wrong permutation")
-        power = prefix ** (i + 1)
-        if not in_level_stabilizer(table, power, 1):
-            problems.append(f"prefix {i} power does not stabilize level one")
-        elif not are_equal(table, section(table, power, (1,)), cat[f"h_{i + 1}"]):
-            problems.append(f"prefix {i} power does not hand back climb {i + 1}")
-
-    if not in_level_stabilizer(table, cat[f"h_{d}"], 1):
-        problems.append("top climb element does not stabilize level one")
-    elif not are_equal(table, section(table, cat[f"h_{d}"], (1,)), g):
-        problems.append("top climb element does not hand back the full product")
+        perms.append((cat[f"g_{i}"], _cycle(d, range(i + 1, 0, -1)), f"prefix {i}"))
+        target = cat[f"h_{i + 1}"].letters
+        hand_backs += [
+            (cat[f"h_{i}"] ** (2 if i == 1 else 3), 1, target, f"climb {i} power"),
+            (cat[f"g_{i}"] ** (i + 1), 1, target, f"prefix {i} power"),
+        ]
+    problems = [
+        f"{label} has the wrong first-level permutation"
+        for w, perm, label in perms
+        if word_permutation(table, w) != perm
+    ]
+    _expect_hand_backs(table, hand_backs, problems)
     return _finish(
         "lemma_chains",
         problems,
@@ -464,65 +391,42 @@ def check_fractal_witnesses(d: int) -> Report:
     A = table.alphabet
     cat = catalog(d)
     problems: list[str] = []
-    recovered: set[int] = set()
-
-    def sec1(w: Word) -> Word:
-        return section(table, w, (1,))
-
-    def expect_sec1(w: Word, letters, label: str) -> None:
-        if not in_level_stabilizer(table, w, 1):
-            problems.append(f"{label}: witness does not stabilize level one")
-        elif not are_equal(table, sec1(w), _word(A, letters)):
-            problems.append(f"{label}: section at 1 is {sec1(w)}")
-
-    stair = empty_word(A)
-    for i in range(1, d):
-        stair = stair * _gen(A, i)
-    full_cycle = Permutation.from_cycles(d, [tuple(range(d, 0, -1))])
-    if word_permutation(table, stair) != full_cycle:
+    if word_permutation(table, _word(A, range(1, d))) != _cycle(d, range(d, 0, -1)):
         problems.append("ascending product of d-1 generators is not a d-cycle")
 
+    # the rotated product is its own section at vertex 2
     h = cat["h_frac"]
-    lam_h = Permutation.from_cycles(d, [tuple(range(d, 2, -1)) + (1,)])
-    if word_permutation(table, h) != lam_h:
-        problems.append("rotated product has the wrong first-level permutation")
-    for slot, letters in [(1, (1,)), (3, (3, 2))] + [(j, (j,)) for j in range(4, d + 1)]:
-        if not are_equal(table, section(table, h, (slot,)), _word(A, letters)):
-            problems.append(f"rotated product section at {slot} is off")
+    slots = {1: (1,), 2: h.letters, 3: (3, 2)} | {j: (j,) for j in range(4, d + 1)}
+    lam_h = _cycle(d, (*range(d, 2, -1), 1))
+    _expect_wreath_rows(table, [(h, lam_h, slots, "rotated product")], problems)
 
     s = {i: cat[f"s_{i}"] for i in range(1, d)}
-    expect_sec1(s[2], (3, 2), "first even witness")
-    for i in range(3, d):
-        letters = [-j for j in range(2, i)] + [j for j in range(i + 1, 1, -1)]
-        expect_sec1(s[i], letters, f"witness {i}")
-
     hp = h ** (d - 1)
-    expect_sec1(hp, [1] + list(range(d, 1, -1)), "rotated product power")
-
+    rows = [(s[2], 1, (3, 2), "first even witness")]
+    for i in range(3, d):
+        letters = (*range(-2, -i, -1), *range(i + 1, 1, -1))
+        rows.append((s[i], 1, letters, f"witness {i}"))
+    rows.append((hp, 1, (1, *range(d, 1, -1)), "rotated product power"))
     even_run = empty_word(A)
     for i in range(1, (d - 1) // 2 + 1):
         even_run = even_run * s[2 * i]
-        expect_sec1(
-            even_run, list(range(2 * i + 1, 1, -1)), f"even run through {2 * i}"
-        )
-    expect_sec1(hp * invert(even_run), (1,), "leftover after the even run")
-    recovered.add(1)
-
-    expect_sec1(s[1], (2,), "closing witness")
-    recovered.add(2)
-
-    odd_run = empty_word(A)
-    prev_even = empty_word(A)
+        rows.append((even_run, 1, range(2 * i + 1, 1, -1), f"even run through {2 * i}"))
+    rows.append((hp * invert(even_run), 1, (1,), "leftover after the even run"))
+    rows.append((s[1], 1, (2,), "closing witness"))
+    odd_run = prev_even = empty_word(A)
     for i in range(1, (d - 1) // 2 + 1):
         odd_run = odd_run * s[2 * i - 1]
-        expect_sec1(odd_run, list(range(2 * i, 1, -1)), f"odd run through {2 * i - 1}")
+        rows.append((odd_run, 1, range(2 * i, 1, -1), f"odd run through {2 * i - 1}"))
         if i >= 2:
-            expect_sec1(odd_run * invert(prev_even), (2 * i,), f"recover a_{2 * i}")
-            recovered.add(2 * i)
+            recover = odd_run * invert(prev_even)
+            rows.append((recover, 1, (2 * i,), f"recover a_{2 * i}"))
         prev_even = prev_even * s[2 * i]
-        expect_sec1(prev_even * invert(odd_run), (2 * i + 1,), f"recover a_{2 * i + 1}")
-        recovered.add(2 * i + 1)
+        recover = prev_even * invert(odd_run)
+        rows.append((recover, 1, (2 * i + 1,), f"recover a_{2 * i + 1}"))
+    _expect_hand_backs(table, rows, problems)
 
+    # the generators handed back on their own
+    recovered = {t[0] for _, _, t, _ in rows if len(t) == 1}
     if recovered != set(range(1, d + 1)):
         problems.append(f"only recovered generators {sorted(recovered)}")
     return _finish(
@@ -547,7 +451,6 @@ def check_branch_witnesses(d: int) -> Report:
     A = table.alphabet
     cat = catalog(d)
     problems: list[str] = []
-    blank = empty_word(A)
 
     if d >= 5:
         for i in range(1, d + 1):
@@ -558,88 +461,45 @@ def check_branch_witnesses(d: int) -> Report:
                 ):
                     problems.append(f"distant generators {i},{j} do not commute")
 
+    ident = Permutation.identity(d)
+    rows = []
     for i in range(1, d + 1):
         i1, i2, i3 = wrap(d, i + 1), wrap(d, i + 2), wrap(d, i + 3)
-        beta = cat[f"beta_{i}"]
-        _expect_wreath(
-            table,
-            beta,
-            {i: _word(A, (-i1,)), i1: _gen(A, i1)},
-            Permutation.from_cycles(d, [(i, i1, i2)]),
-            f"commutator {i}",
-            problems,
-        )
-        pair = beta * cat[f"beta_{i1}"]
+        beta, xi, gbr = cat[f"beta_{i}"], cat[f"xi_{i}"], cat[f"gbr_{i}"]
         pair_perm = Permutation.transposition(d, i, i2) * Permutation.transposition(
             d, i1, i3
         )
-        _expect_wreath(
-            table,
-            pair,
-            {i: _word(A, (-i1, -i2)), i1: _word(A, (i1, i2))},
-            pair_perm,
-            f"commutator pair {i}",
-            problems,
-        )
-        xi = cat[f"xi_{i}"]
-        _expect_wreath(
-            table, xi, {}, pair_perm.inverse(), f"balancer {i}", problems
-        )
-
         K = commutator(_gen(A, i) ** 2, _gen(A, i1))
-        _expect_wreath(
-            table,
-            K,
-            {i1: _word(A, (-i, -i1)), i2: _word(A, (i, i1))},
-            Permutation.identity(d),
-            f"square commutator {i}",
-            problems,
-        )
         Ka = K.conjugated(_gen(A, i))
-        _expect_wreath(
-            table,
-            Ka,
-            {i: _word(A, (-i1, -i)), i2: _word(A, (i, i1))},
-            Permutation.identity(d),
-            f"conjugated square commutator {i}",
-            problems,
-        )
-
-        gbr = cat[f"gbr_{i}"]
-        _expect_wreath(
-            table, gbr, {}, word_permutation(table, gbr), f"aligner {i}", problems
-        )
+        rows += [
+            (beta, _cycle(d, (i, i1, i2)), {i: (-i1,), i1: (i1,)}, f"commutator {i}"),
+            (beta * cat[f"beta_{i1}"], pair_perm, {i: (-i1, -i2), i1: (i1, i2)},
+             f"commutator pair {i}"),
+            (xi, pair_perm.inverse(), {}, f"balancer {i}"),
+            (K, ident, {i1: (-i, -i1), i2: (i, i1)}, f"square commutator {i}"),
+            (Ka, ident, {i: (-i1, -i), i2: (i, i1)},
+             f"conjugated square commutator {i}"),
+            (gbr, word_permutation(table, gbr), {}, f"aligner {i}"),
+        ]
         if d >= 5:
             lam = word_permutation(table, gbr)
             if lam(i) != wrap(d, i - 1) or lam(i1) != i1:
                 problems.append(f"aligner {i} moves the wrong slots")
-            _expect_wreath(
-                table,
-                Ka.conjugated(invert(xi)),
-                {i: _word(A, (i, i1)), i2: _word(A, (-i1, -i))},
-                Permutation.identity(d),
-                f"balanced conjugate {i}",
-                problems,
-            )
-            _expect_wreath(
-                table,
-                K.conjugated(cat[f"gbr_{i1}"]),
-                {i: _word(A, (-i, -i1)), i2: _word(A, (i, i1))},
-                Permutation.identity(d),
-                f"aligned square commutator {i}",
-                problems,
-            )
-            final = K.conjugated(cat[f"gbr_{i1}"]) * Ka.conjugated(invert(xi))
+            balanced = Ka.conjugated(invert(xi))
+            aligned = K.conjugated(cat[f"gbr_{i1}"])
+            rows += [
+                (balanced, ident, {i: (i, i1), i2: (-i1, -i)},
+                 f"balanced conjugate {i}"),
+                (aligned, ident, {i: (-i, -i1), i2: (i, i1)},
+                 f"aligned square commutator {i}"),
+            ]
+            final = aligned * balanced
         else:
             final = K.conjugated(invert(cat[f"gbr_{i1}"])) * Ka.conjugated(xi)
-        _expect_wreath(
-            table,
-            final,
-            {i: commutator(_gen(A, i), _gen(A, i1))},
-            Permutation.identity(d),
-            f"single-slot commutator {i}",
-            problems,
+        rows.append(
+            (final, ident, {i: (-i, -i1, i, i1)}, f"single-slot commutator {i}")
         )
+    _expect_wreath_rows(table, rows, problems)
 
     if d == 3:
         if not (
@@ -671,10 +531,10 @@ def check_free_semigroup(
     """All positive words up to max_len define pairwise distinct,
     nontrivial elements.
 
-    Candidate pairs are pre-filtered by an element invariant before the
-    pairwise equality checks: per-generator counts at odd arity, the
-    level-2 vertex action elsewhere.  Raises BudgetExceeded if the
-    number of equality checks would pass pair_budget."""
+    Candidate pairs are pre-filtered by their level-2 vertex action
+    before the pairwise equality checks: words acting differently on
+    level 2 are different elements on any table.  Raises BudgetExceeded
+    if the number of equality checks would pass pair_budget."""
     table = build_table(d)
     A = table.alphabet
     problems: list[str] = []
@@ -686,11 +546,7 @@ def check_free_semigroup(
             total += 1
             if is_identity(table, w).is_identity:
                 problems.append(f"positive word {w} is trivial")
-            if d % 2 == 1:
-                key = exponent_vector(w)
-            else:
-                key = level_permutation(table, w, 2)
-            buckets.setdefault(key, []).append(w)
+            buckets.setdefault(level_permutation(table, w, 2), []).append(w)
     pairs_checked = 0
     for bucket in buckets.values():
         for u, v in itertools.combinations(bucket, 2):
@@ -731,22 +587,12 @@ def check_hk_and_branch(k: int, seed: int = 0, sample_size: int = 100) -> Report
     a = _gen(A, 1)
     rng = random.Random(seed)
 
-    _expect_wreath(
-        table,
-        cat["rist_lift_ca"],
-        {1: _word(A, (-3, 1))},
-        Permutation.identity(3),
-        "first-slot lift of c'a",
-        problems,
-    )
-    _expect_wreath(
-        table,
-        cat["rist_lift_absq"],
-        {1: _word(A, (1, 2, 1, 2))},
-        Permutation.identity(3),
-        "first-slot lift of (ab)^2",
-        problems,
-    )
+    ident = Permutation.identity(3)
+    lifts = [
+        (cat["rist_lift_ca"], ident, {1: (-3, 1)}, "first-slot lift of c'a"),
+        (cat["rist_lift_absq"], ident, {1: (1, 2, 1, 2)}, "first-slot lift of (ab)^2"),
+    ]
+    _expect_wreath_rows(table, lifts, problems)
 
     words = sample_words(A, sample_size, 10, rng)
     for w in words:
@@ -766,9 +612,10 @@ def check_hk_and_branch(k: int, seed: int = 0, sample_size: int = 100) -> Report
             if w.letters and word_permutation(table, w).is_identity:
                 conditioned.append(w)
         else:
-            images = level_permutation(table, w, 2)
-            m = _mapping_order(images)
-            u = w**m
+            # the least power of w that fixes level two
+            u = w
+            while not in_level_stabilizer(table, u, 2):
+                u = u * w
             if u.letters:
                 conditioned.append(u)
     tuples = []
@@ -800,25 +647,6 @@ def check_hk_and_branch(k: int, seed: int = 0, sample_size: int = 100) -> Report
         tuples=tuples[:4],
         index_bound=index_bound,
     )
-
-
-def _mapping_order(images: tuple) -> int:
-    """Order of the permutation sending position t to images[t]."""
-    n = len(images)
-    index = {v: t for t, v in enumerate(sorted(images))}
-    seen = [False] * n
-    order = 1
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        t = start
-        while not seen[t]:
-            seen[t] = True
-            t = index[images[t]]
-            length += 1
-        order = math.lcm(order, length)
-    return order
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,11 @@ cores it has already expanded:
 
 Cyclic normalization is a conjugation, and conjugates of level
 stabilizer elements stabilize the same level, so skipping a core already
-seen loses nothing and step 4 is sound on any table.  When every generator section has at most one letter, sections
-never get longer than the word and the reachable set is finite, so the
-search terminates; this covers the built-in family.  On other tables the
-node budget (default 10**7) turns a runaway search into
-NodeBudgetExceeded.
+seen loses nothing and step 4 is sound on any table.  When every
+generator section has at most one letter, sections never get longer than
+the word and the reachable set is finite, so the search terminates; this
+covers the built-in family.  On other tables the node budget (default
+10**7) turns a runaway search into NodeBudgetExceeded.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import (
     AlphabetMismatch,
@@ -31,9 +31,10 @@ from .errors import (
     UnknownGenerator,
 )
 
-# Words longer than this are rejected at parse time; exponent sums then fit
-# comfortably in machine integers everywhere downstream.
-MAX_WORD_LETTERS = 2**32
+# Caret repetitions may not take a parsed word past this many letters, so
+# a short token such as ``a^4294967296`` is rejected before it allocates
+# anything.  Power words of about 10**7 letters still parse.
+MAX_WORD_LETTERS = 2**24
 
 ExponentVector = tuple[int, ...]
 
@@ -50,20 +51,6 @@ class Alphabet:
 
     def indices(self) -> range:
         return range(1, self.d + 1)
-
-
-class Letter(NamedTuple):
-    """A single signed letter, split into generator index and sign."""
-
-    index: int
-    sign: int
-
-    @classmethod
-    def from_int(cls, value: int) -> "Letter":
-        return cls(abs(value), 1 if value > 0 else -1)
-
-    def to_int(self) -> int:
-        return self.index * self.sign
 
 
 def reduce_letters(raw: Iterable[int]) -> tuple[int, ...]:

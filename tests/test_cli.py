@@ -1,8 +1,13 @@
+from pathlib import Path
+
 import pytest
 
 from arbora.cli import main
 from arbora.family import build_table
 from arbora.tree import format_table
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -187,3 +192,23 @@ def test_table_names_override_aliases(capsys, tmp_path):
     assert code == 0 and out.strip() == "3"
     code, _, _ = run(capsys, "identity", "--table", str(path), "a")
     assert code == 2  # canonical names are not valid for a custom table
+
+
+def readme_output(command):
+    """The output lines README.md shows under ``$ arbora <command>``."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    shown = []
+    for line in lines[lines.index(f"$ arbora {command}") + 1 :]:
+        if line.startswith(("$", "```")):
+            break
+        shown.append(line)
+    return shown
+
+
+@pytest.mark.parametrize(
+    "command", ["verify-paper --d 3", "free-semigroup --d 3 --max-len 3"]
+)
+def test_readme_examples_match_the_program(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert out.splitlines() == readme_output(command)

@@ -95,6 +95,25 @@ def test_exponent_laws_fail_on_a_broken_table():
     assert "shift law" in rep.detail
 
 
+def test_expectation_rows_catch_a_changed_section(monkeypatch):
+    # the arity-3 family table with the section of b at slot 3 changed
+    # from c to a: every kind of expectation row must notice
+    broken = load_table(
+        "a = (a, b, e) (1 2)\n"
+        "b = (e, b, a) (2 3)\n"
+        "c = (a, e, c) (1 3)\n"
+    )
+    monkeypatch.setattr("arbora.verifier.build_table", lambda d: broken)
+    for check, label in [
+        (check_section_tables, "square table a b: section at 3"),
+        (check_branch_witnesses, "commutator pair 1: section at 1"),
+        (check_lemma_chains, "g**(d-1): section at 2"),
+        (check_fractal_witnesses, "rotated product: section at 3"),
+    ]:
+        rep = check(3)
+        assert rep.status == "fail" and label in rep.detail
+
+
 def test_report_ok_property():
     assert Report("x", "pass", "fine").ok
     assert Report("x", "skip", "elsewhere").ok
@@ -132,8 +151,12 @@ def test_hk_and_branch_check():
 
 
 def test_free_semigroup_budget():
+    # the 120 positive words up to length 4 fall into level-2 buckets
+    # holding 21 candidate pairs
     with pytest.raises(BudgetExceeded):
-        check_free_semigroup(3, 3, pair_budget=1)
+        check_free_semigroup(3, 4, pair_budget=20)
+    rep = check_free_semigroup(3, 4, pair_budget=21)
+    assert rep.ok and rep.data["pairs_checked"] == 21
 
 
 def test_free_semigroup_counts():
