@@ -12,7 +12,6 @@ rests on.
 from .errors import (
     AlphabetMismatch,
     ArboraError,
-    ArityMismatch,
     ArityTooSmall,
     BadVertex,
     BudgetExceeded,
@@ -47,7 +46,6 @@ from .tree import (
 )
 from .verifier import (
     CHECK_IDS,
-    HkClass,
     Report,
     check_branch_witnesses,
     check_exponent_laws,
@@ -75,13 +73,11 @@ from .wordproblem import (
 )
 from .words import (
     Alphabet,
-    SignPure,
     Word,
     canonical_names,
     commutator,
     concat,
     cyclic_normalize,
-    empty_word,
     exponent_total,
     exponent_vector,
     format_word,

@@ -9,7 +9,6 @@ search budget.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .errors import ArboraError
@@ -33,8 +32,6 @@ from .wordproblem import (
     order_probe,
 )
 from .words import Word, canonical_names, exponent_vector, format_word, parse_word
-
-ENV_MAX_NODES = "ARBORA_MAX_NODES"
 
 
 def _add_table_options(parser: argparse.ArgumentParser) -> None:
@@ -96,15 +93,6 @@ def _max_nodes(args) -> int:
         if flag < 1:
             raise ArboraError(f"--max-nodes must be positive, got {flag}")
         return flag
-    env = os.environ.get(ENV_MAX_NODES)
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ArboraError(f"{ENV_MAX_NODES} is not an integer: {env!r}")
-        if value < 1:
-            raise ArboraError(f"{ENV_MAX_NODES} must be positive, got {value}")
-        return value
     return DEFAULT_MAX_NODES
 
 

@@ -47,7 +47,3 @@ class NodeBudgetExceeded(ArboraError):
 
 class BudgetExceeded(ArboraError):
     """An enumeration check outgrew its pair budget."""
-
-
-class ArityMismatch(ArboraError):
-    """A check restricted to one arity was fed a word from another."""

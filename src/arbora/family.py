@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .errors import NameUnavailable
 from .tree import Permutation, RecursionTable
-from .words import Alphabet, Word, canonical_names, commutator, empty_word, invert
+from .words import Alphabet, Word, canonical_names, commutator, invert
 
 
 def wrap(d: int, j: int) -> int:
@@ -37,16 +37,12 @@ def build_table(d: int) -> RecursionTable:
     perms = []
     for i in range(1, d + 1):
         succ = wrap(d, i + 1)
-        row = [empty_word(alphabet)] * d
+        row = [Word(alphabet)] * d
         row[i - 1] = Word(alphabet, (i,))
         row[succ - 1] = Word(alphabet, (succ,))
         sections.append(tuple(row))
         perms.append(Permutation.transposition(d, i, succ))
     return RecursionTable(alphabet, names, tuple(sections), tuple(perms))
-
-
-def _gen(alphabet: Alphabet, i: int) -> Word:
-    return Word(alphabet, (i,))
 
 
 def catalog(d: int) -> dict[str, Word]:
@@ -76,44 +72,25 @@ def catalog(d: int) -> dict[str, Word]:
     """
     table = build_table(d)  # validates d and fixes the alphabet
     alphabet = table.alphabet
-    a = {i: _gen(alphabet, i) for i in range(1, d + 1)}
-    entries: dict[str, Word] = {}
-
-    g = empty_word(alphabet)
+    a = {i: Word(alphabet, (i,)) for i in range(1, d + 1)}
+    entries: dict[str, Word] = {
+        "g": Word(alphabet, tuple(range(1, d + 1))),
+        "h": Word(alphabet, (2, 1, *range(d, 2, -1))),
+    }
     for i in range(1, d + 1):
-        g = g * a[i]
-    entries["g"] = g
-
-    h = a[2] * a[1]
-    for i in range(d, 2, -1):
-        h = h * a[i]
-    entries["h"] = h
-
-    for i in range(1, d + 1):
-        climb = empty_word(alphabet)
-        for j in list(range(1, i + 1)) + list(range(i - 1, 1, -1)):
-            climb = climb * a[j]
-        entries[f"h_{i}"] = climb
-
+        entries[f"h_{i}"] = Word(alphabet, (*range(1, i + 1), *range(i - 1, 1, -1)))
     for i in range(1, d):
-        prefix = empty_word(alphabet)
-        for j in range(1, i + 1):
-            prefix = prefix * a[j]
-        entries[f"g_{i}"] = prefix
+        entries[f"g_{i}"] = Word(alphabet, tuple(range(1, i + 1)))
 
     if d % 2 == 1:
-        h_frac = empty_word(alphabet)
-        for i in list(range(2, d + 1)) + [1]:
-            h_frac = h_frac * a[i]
+        h_frac = Word(alphabet, (*range(2, d + 1), 1))
         entries["h_frac"] = h_frac
 
         s: dict[int, Word] = {}
         for i in range(2, d):
-            conj = empty_word(alphabet)
-            for j in range(i - 1, 0, -1):
-                conj = conj * a[j]
+            conj = Word(alphabet, tuple(range(i - 1, 0, -1)))
             s[i] = (a[i] ** 2).conjugated(conj)
-        even_run = empty_word(alphabet)
+        even_run = Word(alphabet)
         for i in range(2, d, 2):
             even_run = even_run * s[i]
         s[1] = even_run * h_frac ** (-(d - 1)) * a[1] ** 2
@@ -134,7 +111,7 @@ def catalog(d: int) -> dict[str, Word]:
             if d == 3:
                 entries[f"gbr_{i}"] = xi[i]
             else:
-                aligned = empty_word(alphabet)
+                aligned = Word(alphabet)
                 for m in range(0, d - 3, 2):
                     aligned = aligned * xi[wrap(d, i + m + 1)] * xi[wrap(d, i + m)]
                 entries[f"gbr_{i}"] = aligned * xi[wrap(d, i + d - 3)]

@@ -277,10 +277,9 @@ def act_vertex(table: RecursionTable, w: Word, v: Sequence[int]) -> Vertex:
     return tuple(out)
 
 
-def word_permutation(table: RecursionTable, w: Word | tuple[int, ...]) -> Permutation:
+def word_permutation(table: RecursionTable, w: Word) -> Permutation:
     """The permutation induced on the first level."""
-    letters = w.letters if isinstance(w, Word) else w
-    return Permutation(_root_images(table, letters))
+    return Permutation(_root_images(table, w.letters))
 
 
 def wreath(table: RecursionTable, w: Word) -> WreathRecursion:
@@ -292,15 +291,15 @@ def wreath(table: RecursionTable, w: Word) -> WreathRecursion:
     )
 
 
-def level_permutation(
-    table: RecursionTable, w: Word, k: int, cap: int = DEFAULT_VERTEX_CAP
-) -> tuple[Vertex, ...]:
+def level_permutation(table: RecursionTable, w: Word, k: int) -> tuple[Vertex, ...]:
     """Images of every level-k vertex in lexicographic order."""
     d = table.alphabet.d
     if k < 0:
         raise BadVertex(f"level must be nonnegative, got {k}")
-    if d**k > cap:
-        raise LevelTooLarge(f"{d}**{k} vertices exceed the cap of {cap}")
+    if d**k > DEFAULT_VERTEX_CAP:
+        raise LevelTooLarge(
+            f"{d}**{k} vertices exceed the cap of {DEFAULT_VERTEX_CAP}"
+        )
     out: list[Vertex] = []
 
     def walk(letters: tuple[int, ...], depth: int, image: Vertex) -> None:
@@ -315,27 +314,23 @@ def level_permutation(
     return tuple(out)
 
 
-def portrait(
-    table: RecursionTable, w: Word, depth: int, cap: int = DEFAULT_VERTEX_CAP
-) -> Portrait:
+def portrait(table: RecursionTable, w: Word, depth: int) -> Portrait:
     """Permutations down to the given depth; leaves keep their residual."""
     d = table.alphabet.d
     if depth < 0:
         raise LevelTooLarge(f"depth must be nonnegative, got {depth}")
-    if d**depth > cap:
-        raise LevelTooLarge(f"{d}**{depth} leaves exceed the cap of {cap}")
-
-    def build(letters: tuple[int, ...], remaining: int) -> Portrait:
-        perm = word_permutation(table, letters)
-        if remaining == 0:
-            return Portrait(perm, residual=_reduced(table.alphabet, letters))
-        children = tuple(
-            build(_fold_once(table, letters, x)[0], remaining - 1)
-            for x in range(1, d + 1)
+    if d**depth > DEFAULT_VERTEX_CAP:
+        raise LevelTooLarge(
+            f"{d}**{depth} leaves exceed the cap of {DEFAULT_VERTEX_CAP}"
         )
-        return Portrait(perm, children=children)
 
-    return build(w.letters, depth)
+    def build(u: Word, remaining: int) -> Portrait:
+        if remaining == 0:
+            return Portrait(word_permutation(table, u), residual=u)
+        wr = wreath(table, u)
+        return Portrait(wr.perm, tuple(build(s, remaining - 1) for s in wr.sections))
+
+    return build(w, depth)
 
 
 def format_portrait(p: Portrait, names: tuple[str, ...] | None = None) -> str:
@@ -355,14 +350,14 @@ def format_portrait(p: Portrait, names: tuple[str, ...] | None = None) -> str:
     return "\n".join(lines)
 
 
-def vertex_orbit(
-    table: RecursionTable, v: Vertex, cap: int = DEFAULT_VERTEX_CAP
-) -> set[Vertex]:
+def vertex_orbit(table: RecursionTable, v: Vertex) -> set[Vertex]:
     """Closure of {v} under all generators and their inverses (BFS)."""
     d = table.alphabet.d
     check_vertex(v, d)
-    if d ** len(v) > cap:
-        raise LevelTooLarge(f"{d}**{len(v)} vertices exceed the cap of {cap}")
+    if d ** len(v) > DEFAULT_VERTEX_CAP:
+        raise LevelTooLarge(
+            f"{d}**{len(v)} vertices exceed the cap of {DEFAULT_VERTEX_CAP}"
+        )
     moves = [Word(table.alphabet, (l,)) for i in range(1, d + 1) for l in (i, -i)]
     seen = {v}
     frontier = [v]

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Union
+from itertools import repeat
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     AlphabetMismatch,
@@ -31,9 +32,10 @@ from .errors import (
     UnknownGenerator,
 )
 
-# Caret repetitions may not take a parsed word past this many letters, so
-# a short token such as ``a^4294967296`` is rejected before it allocates
-# anything.  Power words of about 10**7 letters still parse.
+# No parsed word may have more than this many letters; a caret repetition
+# is checked before it allocates, so a short token such as
+# ``a^4294967296`` is rejected at once.  Power words of about 10**7
+# letters still parse.
 MAX_WORD_LETTERS = 2**24
 
 ExponentVector = tuple[int, ...]
@@ -126,23 +128,6 @@ def _reduced(alphabet: Alphabet, letters: tuple[int, ...]) -> Word:
     return w
 
 
-@dataclass(frozen=True)
-class SignPure:
-    """Marker returned by cyclic_normalize: every letter of the (cyclically
-    reduced) word shares one sign, so no trailing inverse-then-plain pair
-    exists.  ``core`` is the cyclically reduced conjugate itself."""
-
-    core: Word
-
-    @property
-    def sign(self) -> int:
-        return 1 if self.core.letters[0] > 0 else -1
-
-
-def empty_word(alphabet: Alphabet) -> Word:
-    return Word(alphabet)
-
-
 def invert(w: Word) -> Word:
     return _reduced(w.alphabet, tuple(-l for l in reversed(w.letters)))
 
@@ -178,15 +163,14 @@ def exponent_total(w: Word) -> int:
     return sum(1 if l > 0 else -1 for l in w.letters)
 
 
-def cyclic_normalize(w: Word) -> Union[Word, SignPure]:
+def cyclic_normalize(w: Word) -> Word:
     """Rotate w to a conjugate ending in an inverse-then-plain letter pair.
 
     The word is first cyclically reduced (peeling matched outer letters);
     among the remaining cyclic positions the leftmost pair (negative
     letter followed cyclically by a positive one) is rotated to the end.
     If the cyclic reduction carries letters of one sign only, no such
-    pair exists and the SignPure marker wrapping that conjugate is
-    returned instead.
+    pair exists and that conjugate is returned unrotated.
     """
     letters = w.letters
     if not letters:
@@ -202,7 +186,7 @@ def cyclic_normalize(w: Word) -> Union[Word, SignPure]:
     # sign tests and the search for the pair run as bytes scans
     signs = bytes(map((0).__lt__, core))
     if 0 not in signs or 1 not in signs:
-        return SignPure(_reduced(w.alphabet, core))
+        return _reduced(w.alphabet, core)
     pair = signs.find(b"\x00\x01")
     if pair < 0:
         # no pair inside the core, so it wraps: last letter negative,
@@ -272,6 +256,8 @@ def parse_word(
     letters = list(map(tokens.get, parts))
     if None in letters:
         letters = _read_tokens(parts, table, tokens, d)
+    if len(letters) > MAX_WORD_LETTERS:
+        raise MalformedToken(f"word exceeds the {MAX_WORD_LETTERS} letter cap")
     if len(tokens) != 2 * len(table):
         # some name maps outside 1..d (or cannot be a token at all):
         # validate every letter the way the public constructor does
@@ -313,7 +299,7 @@ def _read_tokens(
                 f"word exceeds the {MAX_WORD_LETTERS} letter cap"
             )
         letter = index * sign * (1 if exponent >= 0 else -1)
-        letters.extend([letter] * abs(exponent))
+        letters.extend(repeat(letter, abs(exponent)))
     return letters
 
 

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -149,18 +150,17 @@ def test_usage_errors(capsys):
     assert run(capsys, "identity", "--d", "3", "--max-nodes", "0", "a")[0] == 2
 
 
-def test_env_budget_is_used_and_flag_wins(capsys, monkeypatch):
+def test_max_nodes_flag_sets_the_budget(capsys):
     # deciding a'^2 b' a^2 b descends into at least one section
     deep = "a'^2 b' a^2 b"
-    monkeypatch.setenv("ARBORA_MAX_NODES", "1")
-    code, _, err = run(capsys, "identity", "--d", "3", deep)
+    code, _, err = run(capsys, "identity", "--d", "3", deep, "--max-nodes", "1")
     assert code == 2 and "nodes" in err
     code, out, _ = run(
         capsys, "identity", "--d", "3", deep, "--max-nodes", "100000"
     )
     assert code == 0 and out.splitlines()[0] == "nonidentity"
-    monkeypatch.setenv("ARBORA_MAX_NODES", "junk")
-    assert run(capsys, "identity", "--d", "3", "a")[0] == 2
+    code, out, _ = run(capsys, "identity", "--d", "3", deep)
+    assert code == 0 and out.splitlines()[0] == "nonidentity"
 
 
 def test_custom_table_file(capsys, tmp_path):
@@ -212,3 +212,16 @@ def test_readme_examples_match_the_program(capsys, command):
     code, out, _ = run(capsys, *command.split())
     assert code == 0
     assert out.splitlines() == readme_output(command)
+
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden_cli.json"
+
+
+@pytest.mark.parametrize(
+    "case", json.loads(GOLDEN.read_text()), ids=lambda case: " ".join(case["argv"])
+)
+def test_golden_output(capsys, case):
+    # verify-paper at d = 3..9 and two free-semigroup sweeps: every status,
+    # detail, count and exit code the verifier reports stays as recorded
+    code, out, err = run(capsys, *case["argv"])
+    assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])

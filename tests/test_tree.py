@@ -19,7 +19,7 @@ from arbora.tree import (
     word_permutation,
     wreath,
 )
-from arbora.words import Alphabet, Word, empty_word, invert, parse_word
+from arbora.words import Alphabet, Word, invert, parse_word
 
 T3 = build_table(3)
 T4 = build_table(4)
@@ -140,7 +140,7 @@ def test_sections_of_products():
     assert section(T3, w3("a b c"), (2,)) == w3("b a")
     assert section(T3, w3("a b c"), (1,)) == w3("a b c")
     assert section(T3, w3("a b c"), (1, 2)) == w3("b a")
-    assert section(T3, empty_word(T3.alphabet), (2, 2)) == w3("e")
+    assert section(T3, Word(T3.alphabet), (2, 2)) == w3("e")
 
 
 def test_section_at_root_validates_foreign_letters():

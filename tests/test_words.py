@@ -10,13 +10,11 @@ from arbora.errors import (
 )
 from arbora.words import (
     Alphabet,
-    SignPure,
     Word,
     canonical_names,
     commutator,
     concat,
     cyclic_normalize,
-    empty_word,
     exponent_total,
     exponent_vector,
     format_word,
@@ -87,7 +85,7 @@ def test_exponent_vector_and_total():
     w = Word(A3, (1, 1, -2))
     assert exponent_vector(w) == (2, -1, 0)
     assert exponent_total(w) == 1
-    assert exponent_vector(empty_word(A3)) == (0, 0, 0)
+    assert exponent_vector(Word(A3)) == (0, 0, 0)
 
 
 def test_cyclic_normalize_rotates_to_trailing_pair():
@@ -102,15 +100,11 @@ def test_cyclic_normalize_rotates_to_trailing_pair():
 
 
 def test_cyclic_normalize_sign_pure():
-    out = cyclic_normalize(Word(A3, (1, 1, 2)))
-    assert isinstance(out, SignPure)
-    assert out.core.letters == (1, 1, 2) and out.sign == 1
+    # a one-signed core has no inverse-then-plain pair and stays unrotated
+    assert cyclic_normalize(Word(A3, (1, 1, 2))).letters == (1, 1, 2)
     # mixed input whose cyclic reduction is one-signed
-    out = cyclic_normalize(Word(A3, (-2, 1, 2)))
-    assert isinstance(out, SignPure)
-    assert out.core.letters == (1,)
-    out = cyclic_normalize(Word(A3, (-1, -2)))
-    assert out.sign == -1
+    assert cyclic_normalize(Word(A3, (-2, 1, 2))).letters == (1,)
+    assert cyclic_normalize(Word(A3, (-1, -2))).letters == (-1, -2)
 
 
 def test_cyclic_normalize_empty():
@@ -153,6 +147,14 @@ def test_parse_errors():
     for text in ("a^4294967297", "a^16777217", "a^16777216 a^1"):
         with pytest.raises(MalformedToken):
             parse_word(text, A3)
+
+
+def test_parse_caps_every_letter(monkeypatch):
+    monkeypatch.setattr("arbora.words.MAX_WORD_LETTERS", 4)
+    for text in ("a a a a a", "a^4 a", "a a^4"):
+        with pytest.raises(MalformedToken):
+            parse_word(text, A3)
+    assert parse_word("a a a a", A3).letters == (1, 1, 1, 1)
 
 
 def test_format_word():
@@ -210,11 +212,10 @@ def test_parse_format_roundtrip(u, v):
 def test_cyclic_normalize_preserves_counts(w):
     if not w.letters:
         return
-    out = cyclic_normalize(w)
-    core = out.core if isinstance(out, SignPure) else out
-    assert exponent_vector(core) == exponent_vector(w)
-    if isinstance(out, Word):
-        assert out.letters[-2] < 0 < out.letters[-1]
+    out = cyclic_normalize(w).letters
+    assert exponent_vector(Word(w.alphabet, out)) == exponent_vector(w)
+    if any(l < 0 for l in out) and any(l > 0 for l in out):
+        assert out[-2] < 0 < out[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -227,19 +228,16 @@ def peel_by_slicing(letters):
     while len(letters) >= 2 and letters[0] == -letters[-1]:
         letters = letters[1:-1]
     if all(l > 0 for l in letters) or all(l < 0 for l in letters):
-        return "pure", tuple(letters)
+        return tuple(letters)
     n = len(letters)
     for j in range(n):
         if letters[j] < 0 and letters[(j + 1) % n] > 0:
             k = (j + 2) % n
-            return "word", tuple(letters[k:] + letters[:k])
+            return tuple(letters[k:] + letters[:k])
 
 
 def normalized(w):
-    out = cyclic_normalize(w)
-    if isinstance(out, SignPure):
-        return "pure", out.core.letters
-    return "word", out.letters
+    return cyclic_normalize(w).letters
 
 
 @given(words(max_len=16), words(max_len=6))
