@@ -29,6 +29,15 @@ def wrap(d: int, j: int) -> int:
     return (j - 1) % d + 1
 
 
+def _aligner_factors(d: int, i: int) -> list[int]:
+    """Indices j, in product order, of the balancers xi_j making gbr_i:
+    xi_{i+1} xi_i xi_{i+3} xi_{i+2} ... xi_{i+d-3} (just xi_i at d = 3)."""
+    order = []
+    for m in range(0, d - 3, 2):
+        order += [wrap(d, i + m + 1), wrap(d, i + m)]
+    return order + [wrap(d, i + d - 3)]
+
+
 def build_table(d: int) -> RecursionTable:
     """Recursion table of the arity-d member of the family."""
     alphabet = Alphabet(d)
@@ -108,13 +117,10 @@ def catalog(d: int) -> dict[str, Word]:
             xi[i] = balance * invert(pair)
             entries[f"xi_{i}"] = xi[i]
         for i in range(1, d + 1):
-            if d == 3:
-                entries[f"gbr_{i}"] = xi[i]
-            else:
-                aligned = Word(alphabet)
-                for m in range(0, d - 3, 2):
-                    aligned = aligned * xi[wrap(d, i + m + 1)] * xi[wrap(d, i + m)]
-                entries[f"gbr_{i}"] = aligned * xi[wrap(d, i + d - 3)]
+            aligned = Word(alphabet)
+            for j in _aligner_factors(d, i):
+                aligned = aligned * xi[j]
+            entries[f"gbr_{i}"] = aligned
 
     if d == 4:
         entries["w4"] = Word(alphabet, (2, 1, -3, 2, -1, 4, -2, -1))

@@ -111,8 +111,7 @@ class Permutation:
     @classmethod
     def from_cycle_string(cls, n: int, text: str) -> "Permutation":
         """Parse e.g. ``(1 2)(3 4)`` or ``()``; entries are space separated."""
-        stripped = text.replace(" ", "")
-        if not re.fullmatch(r"(\([0-9 ]*\)\s*)+", text.strip()) and stripped != "()":
+        if not re.fullmatch(r"(\([0-9 ]*\)\s*)+", text.strip()):
             raise MalformedToken(f"cannot read cycle notation {text!r}")
         cycles = []
         for group in re.findall(r"\(([^()]*)\)", text):
@@ -291,15 +290,18 @@ def wreath(table: RecursionTable, w: Word) -> WreathRecursion:
     )
 
 
+def _check_level_size(d: int, k: int) -> None:
+    """Refuse a level whose d**k vertices exceed DEFAULT_VERTEX_CAP."""
+    if d**k > DEFAULT_VERTEX_CAP:
+        raise LevelTooLarge(f"{d}**{k} vertices exceed the cap of {DEFAULT_VERTEX_CAP}")
+
+
 def level_permutation(table: RecursionTable, w: Word, k: int) -> tuple[Vertex, ...]:
     """Images of every level-k vertex in lexicographic order."""
     d = table.alphabet.d
     if k < 0:
         raise BadVertex(f"level must be nonnegative, got {k}")
-    if d**k > DEFAULT_VERTEX_CAP:
-        raise LevelTooLarge(
-            f"{d}**{k} vertices exceed the cap of {DEFAULT_VERTEX_CAP}"
-        )
+    _check_level_size(d, k)
     out: list[Vertex] = []
 
     def walk(letters: tuple[int, ...], depth: int, image: Vertex) -> None:
@@ -319,10 +321,7 @@ def portrait(table: RecursionTable, w: Word, depth: int) -> Portrait:
     d = table.alphabet.d
     if depth < 0:
         raise LevelTooLarge(f"depth must be nonnegative, got {depth}")
-    if d**depth > DEFAULT_VERTEX_CAP:
-        raise LevelTooLarge(
-            f"{d}**{depth} leaves exceed the cap of {DEFAULT_VERTEX_CAP}"
-        )
+    _check_level_size(d, depth)
 
     def build(u: Word, remaining: int) -> Portrait:
         if remaining == 0:
@@ -354,10 +353,7 @@ def vertex_orbit(table: RecursionTable, v: Vertex) -> set[Vertex]:
     """Closure of {v} under all generators and their inverses (BFS)."""
     d = table.alphabet.d
     check_vertex(v, d)
-    if d ** len(v) > DEFAULT_VERTEX_CAP:
-        raise LevelTooLarge(
-            f"{d}**{len(v)} vertices exceed the cap of {DEFAULT_VERTEX_CAP}"
-        )
+    _check_level_size(d, len(v))
     moves = [Word(table.alphabet, (l,)) for i in range(1, d + 1) for l in (i, -i)]
     seen = {v}
     frontier = [v]

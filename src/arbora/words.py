@@ -255,52 +255,60 @@ def parse_word(
     parts = text.split()
     letters = list(map(tokens.get, parts))
     if None in letters:
-        letters = _read_tokens(parts, table, tokens, d)
+        return _reduced(alphabet, _read_tokens(parts, table, tokens, d))
     if len(letters) > MAX_WORD_LETTERS:
         raise MalformedToken(f"word exceeds the {MAX_WORD_LETTERS} letter cap")
-    if len(tokens) != 2 * len(table):
-        # some name maps outside 1..d (or cannot be a token at all):
-        # validate every letter the way the public constructor does
-        return Word(alphabet, tuple(letters))
     return _reduced(alphabet, reduce_letters(letters))
 
 
 def _read_tokens(
     parts: list[str], table: Mapping[str, int], tokens: Mapping[str, int], d: int
-) -> list[int]:
-    """Letters of the tokens one by one: ``e``, ``^`` and error cases."""
-    letters: list[int] = []
+) -> tuple[int, ...]:
+    """Freely reduced letters of the tokens read one by one: ``e``, ``^``,
+    names outside 1..d and the error cases.
+
+    A caret run repeats one letter, so it cancels only at its seam with
+    the letters before it: reducing while reading holds a long run once.
+    The cap counts the letters read, not the letters kept."""
+    out: list[int] = []
+    count = 0
     for token in parts:
         letter = tokens.get(token)
-        if letter is not None:
-            letters.append(letter)
-            continue
-        if token == "e":
-            continue
-        body = token
-        exponent = 1
-        if "^" in body:
-            body, _, exp_text = body.partition("^")
-            try:
-                exponent = int(exp_text)
-            except ValueError:
-                raise MalformedToken(f"bad repetition count in token {token!r}")
-        sign = 1
-        if body.endswith("'"):
-            body = body[:-1]
-            sign = -1
-        if not body or "'" in body or "^" in body:
-            raise MalformedToken(f"cannot read token {token!r}")
-        index = table.get(body)
-        if index is None:
-            raise UnknownGenerator(f"unknown generator {body!r} for arity {d}")
-        if len(letters) + abs(exponent) > MAX_WORD_LETTERS:
-            raise MalformedToken(
-                f"word exceeds the {MAX_WORD_LETTERS} letter cap"
-            )
-        letter = index * sign * (1 if exponent >= 0 else -1)
-        letters.extend(repeat(letter, abs(exponent)))
-    return letters
+        run = 1
+        if letter is None:
+            if token == "e":
+                continue
+            body = token
+            exponent = 1
+            if "^" in body:
+                body, _, exp_text = body.partition("^")
+                try:
+                    exponent = int(exp_text)
+                except ValueError:
+                    raise MalformedToken(f"bad repetition count in token {token!r}")
+            sign = 1
+            if body.endswith("'"):
+                body = body[:-1]
+                sign = -1
+            if not body or "'" in body or "^" in body:
+                raise MalformedToken(f"cannot read token {token!r}")
+            index = table.get(body)
+            if index is None:
+                raise UnknownGenerator(f"unknown generator {body!r} for arity {d}")
+            letter = index * sign * (1 if exponent >= 0 else -1)
+            run = abs(exponent)
+            if run and (letter == 0 or abs(letter) > d):
+                raise UnknownGenerator(
+                    f"letter {letter} outside +-1..{d} of the alphabet"
+                )
+        count += run
+        if count > MAX_WORD_LETTERS:
+            raise MalformedToken(f"word exceeds the {MAX_WORD_LETTERS} letter cap")
+        while run and out and out[-1] == -letter:
+            out.pop()
+            run -= 1
+        out.extend(repeat(letter, run))
+    return tuple(out)
 
 
 def format_word(w: Word, names: tuple[str, ...] | None = None) -> str:

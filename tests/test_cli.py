@@ -1,4 +1,7 @@
+import doctest
+import itertools
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -194,24 +197,37 @@ def test_table_names_override_aliases(capsys, tmp_path):
     assert code == 2  # canonical names are not valid for a custom table
 
 
-def readme_output(command):
-    """The output lines README.md shows under ``$ arbora <command>``."""
+def readme_examples():
+    """The arguments of each ``$ arbora ...`` line of README.md and the
+    output lines shown under it."""
     lines = README.read_text(encoding="utf-8").splitlines()
-    shown = []
-    for line in lines[lines.index(f"$ arbora {command}") + 1 :]:
-        if line.startswith(("$", "```")):
-            break
-        shown.append(line)
-    return shown
+    examples = []
+    for n, line in enumerate(lines):
+        if line.startswith("$ arbora "):
+            argv = shlex.split(line, comments=True)[2:]
+            shown = itertools.takewhile(
+                lambda out: not out.startswith(("$", "```")), lines[n + 1 :]
+            )
+            examples.append(pytest.param(argv, list(shown), id=" ".join(argv)))
+    return examples
 
 
-@pytest.mark.parametrize(
-    "command", ["verify-paper --d 3", "free-semigroup --d 3 --max-len 3"]
-)
-def test_readme_examples_match_the_program(capsys, command):
-    code, out, _ = run(capsys, *command.split())
+@pytest.mark.parametrize("argv, shown", readme_examples())
+def test_readme_examples_match_the_program(capsys, argv, shown):
+    head = None
+    if "|" in argv:
+        # the only pipe the README uses is ``| head -N``
+        argv, (tool, count) = argv[: argv.index("|")], argv[argv.index("|") + 1 :]
+        assert tool == "head"
+        head = int(count.lstrip("-"))
+    code, out, _ = run(capsys, *argv)
     assert code == 0
-    assert out.splitlines() == readme_output(command)
+    assert out.splitlines()[:head] == shown
+
+
+def test_readme_library_tour_runs_as_a_doctest():
+    result = doctest.testfile(str(README), module_relative=False, verbose=False)
+    assert result.failed == 0 and result.attempted
 
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_cli.json"

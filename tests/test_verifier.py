@@ -3,7 +3,7 @@ import random
 import pytest
 
 from arbora.errors import BudgetExceeded
-from arbora.family import build_table
+from arbora.family import _aligner_factors, build_table
 from arbora.tree import load_table
 from arbora.verifier import (
     CHECK_IDS,
@@ -103,14 +103,41 @@ def test_expectation_rows_catch_a_changed_section(monkeypatch):
         "c = (a, e, c) (1 3)\n"
     )
     monkeypatch.setattr("arbora.verifier.build_table", lambda d: broken)
-    for check, label in [
-        (check_section_tables, "square table a b: section at 3"),
-        (check_branch_witnesses, "commutator pair 1: section at 1"),
-        (check_lemma_chains, "g**(d-1): section at 2"),
-        (check_fractal_witnesses, "rotated product: section at 3"),
+    for rep, label in [
+        (check_section_tables(3), "square table a b: section at 3"),
+        (check_branch_witnesses(3), "commutator pair 1: section at 1"),
+        (check_lemma_chains(3), "g**(d-1): section at 2"),
+        (check_fractal_witnesses(3), "rotated product: section at 3"),
+        (check_hk_and_branch(), "first-slot lift of c'a: section at 3"),
     ]:
-        rep = check(3)
         assert rep.status == "fail" and label in rep.detail
+
+
+def test_parity_check_catches_an_even_generator(monkeypatch):
+    # the arity-3 family table with the root permutation of a made the
+    # 3-cycle (1 2 3), an even permutation: a has odd length but does not
+    # change the parity, so the parity law breaks
+    broken = load_table(
+        "a = (a, b, e) (1 2 3)\n"
+        "b = (e, b, c) (2 3)\n"
+        "c = (a, e, c) (1 3)\n"
+    )
+    monkeypatch.setattr(
+        "arbora.verifier.build_table", lambda d: broken if d == 3 else build_table(d)
+    )
+    rep = check_parity_and_even_d()
+    assert rep.status == "fail" and "parity disagrees with length" in rep.detail
+
+
+def test_aligner_rows_follow_the_catalog_factor_order(monkeypatch):
+    # an aligner's expected permutation multiplies the balancers' expected
+    # permutations in the order the catalog multiplies the balancers;
+    # in the reversed order the closed form no longer holds
+    monkeypatch.setattr(
+        "arbora.verifier._aligner_factors", lambda d, i: _aligner_factors(d, i)[::-1]
+    )
+    rep = check_branch_witnesses(5)
+    assert rep.status == "fail" and "aligner 1: permutation" in rep.detail
 
 
 def test_closed_forms_never_decide_the_word_problem(monkeypatch):
@@ -124,7 +151,7 @@ def test_closed_forms_never_decide_the_word_problem(monkeypatch):
     for d in (3, 5):
         for check in (check_section_tables, check_lemma_chains, check_fractal_witnesses):
             assert check(d).status == "pass"
-    assert check_hk_and_branch(1).status == "pass"
+    assert check_hk_and_branch().status == "pass"
 
 
 def test_report_ok_property():
@@ -134,17 +161,9 @@ def test_report_ok_property():
 
 
 def test_hk_and_branch_check():
-    rep = check_hk_and_branch(1, seed=3)
-    assert rep.ok
-    assert rep.data["index_bound"] == 64
-    assert rep.data["tuples"]
-    for coords in rep.data["tuples"]:
-        assert len(coords) == 3 and all(0 <= j < 4 for j in coords)
-    rep = check_hk_and_branch(2, seed=3)
-    assert rep.ok
-    assert rep.data["index_bound"] == 8**9
-    with pytest.raises(ValueError):
-        check_hk_and_branch(3)
+    rep = check_hk_and_branch()
+    assert rep.status == "pass"
+    assert rep.detail == "2 first-slot lifts fold to their stated sections"
 
 
 def test_free_semigroup_budget():
@@ -173,8 +192,8 @@ def test_free_semigroup_flags_even_arity_coincidences():
 
 
 def test_parity_check():
-    rep = check_parity_and_even_d(seed=11, sample_size=50)
-    assert rep.ok and rep.data["words"] == 50
+    rep = check_parity_and_even_d(seed=11)
+    assert rep.ok and rep.data["words"] == 1000
 
 
 def test_sample_words_is_seed_stable():
