@@ -58,7 +58,6 @@ from .verifier import (
     check_section_tables,
     check_transitivity,
     run_all,
-    sample_words,
 )
 from .wordproblem import (
     DEFAULT_MAX_NODES,

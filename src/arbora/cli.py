@@ -201,7 +201,7 @@ def cmd_free_semigroup(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    reports = run_all(_family_arity(args.d), seed=args.seed, max_len=args.max_len)
+    reports = run_all(_family_arity(args.d))
     failed = False
     for rep in reports:
         status = rep.status.upper()
@@ -283,8 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-derive the full catalog of identities; TSV report",
     )
     p.add_argument("--d", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-len", type=int, default=10)
+    p.add_argument("--seed", type=int, default=0, help="accepted; has no effect")
     p.set_defaults(func=cmd_verify_paper)
 
     return parser

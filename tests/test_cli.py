@@ -126,7 +126,7 @@ def test_free_semigroup_command(capsys):
 
 
 def test_verify_paper_tsv(capsys):
-    code, out, _ = run(capsys, "verify-paper", "--d", "3", "--max-len", "6")
+    code, out, _ = run(capsys, "verify-paper", "--d", "3")
     assert code == 0
     lines = out.splitlines()
     assert len(lines) == 10
@@ -136,11 +136,13 @@ def test_verify_paper_tsv(capsys):
 
 
 def test_verify_paper_keeps_skip_lines(capsys):
-    code, out, _ = run(capsys, "verify-paper", "--d", "4", "--max-len", "6")
+    code, out, _ = run(capsys, "verify-paper", "--d", "4")
     assert code == 0
     lines = out.splitlines()
     assert len(lines) == 10
     assert sum(1 for line in lines if "\tSKIP\t" in line) == 5
+    # no check samples words, so there is no length to set
+    assert run(capsys, "verify-paper", "--d", "4", "--max-len", "6")[0] == 2
 
 
 def test_usage_errors(capsys):
