@@ -66,7 +66,6 @@ from .wordproblem import (
     OrderResult,
     UnknownBeyond,
     are_equal,
-    in_level_stabilizer,
     is_identity,
     order_probe,
 )

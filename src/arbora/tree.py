@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import BadVertex, LevelTooLarge, MalformedToken
+from .errors import AlphabetMismatch, BadVertex, LevelTooLarge, MalformedToken
 from .words import Alphabet, Word, _reduced, parse_word, format_word
 
 Vertex = tuple[int, ...]
@@ -223,6 +223,14 @@ def format_vertex(v: Vertex) -> str:
 # the letter fold
 
 
+def _check_alphabet(table: RecursionTable, w: Word) -> None:
+    """Raise AlphabetMismatch unless w is a word over the table's alphabet."""
+    if w.alphabet != table.alphabet:
+        raise AlphabetMismatch(
+            f"word over arity {w.alphabet.d} given to an arity-{table.alphabet.d} table"
+        )
+
+
 def _fold_once(table: RecursionTable, letters: tuple[int, ...], x: int):
     """One level of the fold: return (section letters at x, image of x)."""
     steps = table._steps
@@ -255,10 +263,8 @@ def _root_images(table: RecursionTable, letters: tuple[int, ...]) -> tuple[int, 
 
 def section(table: RecursionTable, w: Word, v: Sequence[int]) -> Word:
     """The section of w at vertex v (freely reduced)."""
+    _check_alphabet(table, w)
     check_vertex(v, table.alphabet.d)
-    if not v:
-        # no fold has looked the letters up in the table: validate them
-        return Word(table.alphabet, w.letters)
     letters = w.letters
     for x in v:
         letters, _ = _fold_once(table, letters, x)
@@ -267,6 +273,7 @@ def section(table: RecursionTable, w: Word, v: Sequence[int]) -> Word:
 
 def act_vertex(table: RecursionTable, w: Word, v: Sequence[int]) -> Vertex:
     """The image w(v); length preserving."""
+    _check_alphabet(table, w)
     check_vertex(v, table.alphabet.d)
     letters = w.letters
     out = []
@@ -278,11 +285,13 @@ def act_vertex(table: RecursionTable, w: Word, v: Sequence[int]) -> Vertex:
 
 def word_permutation(table: RecursionTable, w: Word) -> Permutation:
     """The permutation induced on the first level."""
+    _check_alphabet(table, w)
     return Permutation(_root_images(table, w.letters))
 
 
 def wreath(table: RecursionTable, w: Word) -> WreathRecursion:
     """All first-level sections together with the root permutation."""
+    _check_alphabet(table, w)
     folds = [_fold_once(table, w.letters, x) for x in table.alphabet.indices()]
     return WreathRecursion(
         tuple(_reduced(table.alphabet, sec) for sec, _ in folds),
@@ -298,6 +307,7 @@ def _check_level_size(d: int, k: int) -> None:
 
 def level_permutation(table: RecursionTable, w: Word, k: int) -> tuple[Vertex, ...]:
     """Images of every level-k vertex in lexicographic order."""
+    _check_alphabet(table, w)
     d = table.alphabet.d
     if k < 0:
         raise BadVertex(f"level must be nonnegative, got {k}")
@@ -318,6 +328,7 @@ def level_permutation(table: RecursionTable, w: Word, k: int) -> tuple[Vertex, .
 
 def portrait(table: RecursionTable, w: Word, depth: int) -> Portrait:
     """Permutations down to the given depth; leaves keep their residual."""
+    _check_alphabet(table, w)
     d = table.alphabet.d
     if depth < 0:
         raise LevelTooLarge(f"depth must be nonnegative, got {depth}")

@@ -30,11 +30,10 @@ covers the built-in family.  On other tables the node budget (default
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .errors import AlphabetMismatch, NodeBudgetExceeded
-from .tree import RecursionTable, _fold_once, _root_images, level_permutation
+from .errors import NodeBudgetExceeded
+from .tree import RecursionTable, _check_alphabet, _fold_once, _root_images
 from .words import Word, _reduced, concat, cyclic_normalize, invert
 
 DEFAULT_MAX_NODES = 10**7
@@ -73,11 +72,8 @@ def is_identity(
     table: RecursionTable, w: Word, max_nodes: int | None = None
 ) -> Decision:
     """Decide whether w is the identity element of the table's group."""
+    _check_alphabet(table, w)
     alphabet = table.alphabet
-    if w.alphabet != alphabet:
-        raise AlphabetMismatch(
-            f"word over arity {w.alphabet.d} given to an arity-{alphabet.d} table"
-        )
     budget = DEFAULT_MAX_NODES if max_nodes is None else max_nodes
     if budget < 1:
         raise ValueError(f"max_nodes must be positive, got {budget}")
@@ -122,13 +118,6 @@ def are_equal(
 ) -> bool:
     """Whether u and v define the same tree automorphism."""
     return is_identity(table, concat(u, invert(v)), max_nodes).is_identity
-
-
-def in_level_stabilizer(table: RecursionTable, w: Word, k: int) -> bool:
-    """Whether w fixes every vertex of level k (hence all levels <= k)."""
-    d = table.alphabet.d
-    expected = tuple(itertools.product(range(1, d + 1), repeat=k))
-    return level_permutation(table, w, k) == expected
 
 
 def order_probe(

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arbora.errors import BadVertex, LevelTooLarge, MalformedToken, UnknownGenerator
+from arbora.errors import AlphabetMismatch, BadVertex, LevelTooLarge, MalformedToken
 from arbora.family import build_table
 from arbora.tree import (
     Permutation,
@@ -144,8 +144,28 @@ def test_sections_of_products():
 
 
 def test_section_at_root_validates_foreign_letters():
-    with pytest.raises(UnknownGenerator):
+    with pytest.raises(AlphabetMismatch):
         section(T3, Word(Alphabet(5), (5,)), ())
+
+
+@pytest.mark.parametrize("letters", [(5, 1), (1, 2)])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda w: section(T3, w, (1,)),
+        lambda w: act_vertex(T3, w, (1,)),
+        lambda w: wreath(T3, w),
+        lambda w: word_permutation(T3, w),
+        lambda w: level_permutation(T3, w, 1),
+        lambda w: portrait(T3, w, 1),
+    ],
+    ids=["section", "act_vertex", "wreath", "word_permutation",
+         "level_permutation", "portrait"],
+)
+def test_tree_functions_reject_a_foreign_alphabet(call, letters):
+    # a5 has no row in an arity-3 table, and a1 a2 has one only by accident
+    with pytest.raises(AlphabetMismatch):
+        call(Word(Alphabet(5), letters))
 
 
 def test_wreath_table_entries():

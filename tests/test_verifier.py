@@ -71,7 +71,18 @@ def test_lemma_chain_preconditions():
 def test_transitivity_check():
     t = build_table(3)
     rep = check_transitivity(t, 3)
-    assert rep.ok and rep.data["sizes"] == {1: 3, 2: 9, 3: 27}
+    assert rep.status == "pass"
+    assert rep.detail == "levels 1..3 are single orbits at arity 3"
+
+
+def test_transitivity_check_fails_below_a_transitive_level():
+    # a rooted 3-cycle moves level one transitively but never changes the
+    # second letter of a vertex, so the level-2 orbit of 11 has 3 vertices
+    rooted = load_table("a = (e, e, e) (1 2 3)\nb = (e, e, e) ()\nc = (e, e, e) ()\n")
+    assert check_transitivity(rooted, 1).status == "pass"
+    rep = check_transitivity(rooted, 2)
+    assert rep.status == "fail"
+    assert rep.detail == "level 2 orbit has size 3 != 9"
 
 
 def test_exponent_laws_fail_on_a_broken_table():
@@ -167,7 +178,7 @@ def test_expectation_rows_catch_a_changed_section(monkeypatch):
     )
     monkeypatch.setattr("arbora.verifier.build_table", lambda d: broken)
     for rep, label in [
-        (check_section_tables(3), "square table a b: section at 3"),
+        (check_section_tables(3), "pair a1 a2: section at 3"),
         (check_branch_witnesses(3), "commutator pair 1: section at 1"),
         (check_lemma_chains(3), "g**(d-1): section at 2"),
         (check_fractal_witnesses(3), "rotated product: section at 3"),
@@ -235,12 +246,14 @@ def test_hk_and_branch_check():
     assert rep.detail == "2 first-slot lifts fold to their stated sections"
 
 
-def test_free_semigroup_budget():
+def test_free_semigroup_budget(monkeypatch):
     # the 120 positive words up to length 4 fall into level-2 buckets
     # holding 21 candidate pairs
+    monkeypatch.setattr("arbora.verifier._PAIR_BUDGET", 20)
     with pytest.raises(BudgetExceeded):
-        check_free_semigroup(3, 4, pair_budget=20)
-    rep = check_free_semigroup(3, 4, pair_budget=21)
+        check_free_semigroup(3, 4)
+    monkeypatch.setattr("arbora.verifier._PAIR_BUDGET", 21)
+    rep = check_free_semigroup(3, 4)
     assert rep.ok and rep.data["pairs_checked"] == 21
 
 

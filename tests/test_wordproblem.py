@@ -12,7 +12,6 @@ from arbora.wordproblem import (
     Finite,
     UnknownBeyond,
     are_equal,
-    in_level_stabilizer,
     is_identity,
     order_probe,
 )
@@ -68,13 +67,6 @@ def test_are_equal():
     assert are_equal(T3, w3("a b c"), w3("a b c"))
 
 
-def test_in_level_stabilizer():
-    assert in_level_stabilizer(T3, w3("a b c b"), 1)
-    assert not in_level_stabilizer(T3, w3("a b c b"), 2)
-    assert not in_level_stabilizer(T3, w3("a"), 1)
-    assert in_level_stabilizer(T3, w3("e"), 3)
-
-
 def test_order_probe():
     xi = catalog_word(3, "xi_1")
     assert order_probe(T3, xi, 10) == Finite(3)
@@ -118,7 +110,8 @@ def test_visited_set_ends_a_cycle():
     )
     w = Word(table.alphabet, (1, -2))
     assert is_identity(table, w, max_nodes=20) == Decision(True, 5, 3)
-    assert in_level_stabilizer(table, w, 5)
+    level5 = tuple(itertools.product(range(1, 4), repeat=5))
+    assert level_permutation(table, w, 5) == level5
 
 
 @st.composite
