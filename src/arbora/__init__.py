@@ -76,7 +76,6 @@ from .words import (
     commutator,
     concat,
     cyclic_normalize,
-    exponent_total,
     exponent_vector,
     format_word,
     invert,

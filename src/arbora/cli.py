@@ -15,6 +15,7 @@ from .errors import ArboraError
 from .family import build_table, catalog, catalog_word
 from .tree import (
     RecursionTable,
+    _check_level_size,
     act_vertex,
     format_portrait,
     format_vertex,
@@ -164,6 +165,7 @@ def cmd_orbit(args) -> int:
     k = args.level
     if k < 0:
         raise ArboraError(f"level must be nonnegative, got {k}")
+    _check_level_size(table.alphabet.d, k)
     print(len(vertex_orbit(table, (1,) * k)))
     return 0
 
@@ -188,7 +190,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_free_semigroup(args) -> int:
-    report = check_free_semigroup(_family_arity(args.d), args.max_len)
+    report = check_free_semigroup(build_table(_family_arity(args.d)), args.max_len)
     status = "PASS" if report.ok else "FAIL"
     print(
         f"words={report.data.get('words', 0)} "

@@ -300,9 +300,15 @@ def wreath(table: RecursionTable, w: Word) -> WreathRecursion:
 
 
 def _check_level_size(d: int, k: int) -> None:
-    """Refuse a level whose d**k vertices exceed DEFAULT_VERTEX_CAP."""
-    if d**k > DEFAULT_VERTEX_CAP:
-        raise LevelTooLarge(f"{d}**{k} vertices exceed the cap of {DEFAULT_VERTEX_CAP}")
+    """Refuse a level whose d**k vertices exceed DEFAULT_VERTEX_CAP.  The
+    product stops once it passes the cap, so a huge k costs a few steps."""
+    size = 1
+    for _ in range(k):
+        size *= d
+        if size > DEFAULT_VERTEX_CAP:
+            raise LevelTooLarge(
+                f"{d}**{k} vertices exceed the cap of {DEFAULT_VERTEX_CAP}"
+            )
 
 
 def level_permutation(table: RecursionTable, w: Word, k: int) -> tuple[Vertex, ...]:
@@ -363,8 +369,8 @@ def format_portrait(p: Portrait, names: tuple[str, ...] | None = None) -> str:
 def vertex_orbit(table: RecursionTable, v: Vertex) -> set[Vertex]:
     """Closure of {v} under all generators and their inverses (BFS)."""
     d = table.alphabet.d
-    check_vertex(v, d)
     _check_level_size(d, len(v))
+    check_vertex(v, d)
     moves = [Word(table.alphabet, (l,)) for i in range(1, d + 1) for l in (i, -i)]
     seen = {v}
     frontier = [v]

@@ -158,11 +158,6 @@ def exponent_vector(w: Word) -> ExponentVector:
     return tuple(counts)
 
 
-def exponent_total(w: Word) -> int:
-    """Sum of all per-generator exponent sums (the signed total)."""
-    return sum(1 if l > 0 else -1 for l in w.letters)
-
-
 def cyclic_normalize(w: Word) -> Word:
     """Rotate w to a conjugate ending in an inverse-then-plain letter pair.
 

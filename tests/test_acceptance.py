@@ -106,10 +106,10 @@ def test_01_recursion_fidelity():
 def test_02_two_letter_tables():
     with budget(2, 1.0, "all two-letter section tables for d in {3,5}"):
         for d in (3, 5):
-            report = check_section_tables(d)
+            table = build_table(d)
+            report = check_section_tables(table)
             assert report.status == "pass", report.detail
             # the inverse-then-plain sections stay short
-            table = build_table(d)
             for i in range(1, d + 1):
                 for j in range(1, d + 1):
                     if i == j:
@@ -148,27 +148,27 @@ def test_04_odd_arity_count_law():
 def test_05_lemma_chains():
     with budget(5, 60.0, "stabilizer hand-off chains for d in {3,5,7}"):
         for d in (3, 5, 7):
-            report = check_lemma_chains(d)
+            report = check_lemma_chains(build_table(d))
             assert report.status == "pass", report.detail
 
 
 def test_06_fractal_witnesses():
     with budget(6, 60.0, "all generators recovered at vertex 1 for d in {3,5,7}"):
         for d in (3, 5, 7):
-            report = check_fractal_witnesses(d)
+            report = check_fractal_witnesses(build_table(d))
             assert report.status == "pass", report.detail
 
 
 def test_07_branch_witnesses():
     with budget(7, 120.0, "single-slot commutators for d in {3,5,7}"):
         for d in (3, 5, 7):
-            report = check_branch_witnesses(d)
+            report = check_branch_witnesses(build_table(d))
             assert report.status == "pass", report.detail
 
 
 def test_08_free_semigroup():
     with budget(8, 600.0, "1092 positive words pairwise distinct at arity 3"):
-        report = check_free_semigroup(3, 6)
+        report = check_free_semigroup(T3, 6)
         assert report.status == "pass", report.detail
         assert report.data["words"] == 1092
         assert 1092 == 3 + 9 + 27 + 81 + 243 + 729
@@ -184,7 +184,7 @@ def test_09_transitivity():
 
 def test_10_hk_lifts_and_cosets():
     with budget(10, 60.0, "first-slot lifts fold to their stated sections"):
-        report = check_hk_and_branch()
+        report = check_hk_and_branch(T3)
         assert report.status == "pass", report.detail
 
 
@@ -199,7 +199,7 @@ def test_11_orders():
 
 def test_12_parity():
     with budget(12, 60.0, "root-permutation parity is length parity at arity 3"):
-        report = check_parity_and_even_d()
+        report = check_parity_and_even_d(T3, build_table(4))
         assert report.status == "pass", report.detail
         assert report.detail.startswith(
             "root permutations of all 3 generators odd, so stabilizer words "

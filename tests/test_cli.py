@@ -2,6 +2,8 @@ import doctest
 import itertools
 import json
 import shlex
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -94,6 +96,22 @@ def test_orbit(capsys):
     assert (code, out.strip()) == (0, "27")
     code, out, _ = run(capsys, "orbit", "--d", "5", "2")
     assert (code, out.strip()) == (0, "25")
+
+
+def test_orbit_refuses_a_huge_level_at_once(capsys):
+    # the level is checked against the vertex cap before the vertex is
+    # built: the level-10**7 vertex alone would take 80 MB
+    start = time.monotonic()
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "orbit", "--d", "3", "10000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.monotonic() - start < 1.0
+    assert peak < 10**7
+    assert (code, out) == (2, "")
+    assert err == "error: 3**10000000 vertices exceed the cap of 1000000\n"
 
 
 def test_portrait(capsys):

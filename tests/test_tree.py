@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -207,6 +209,20 @@ def test_portrait_shape_and_format():
     )
     with pytest.raises(LevelTooLarge):
         portrait(T3, w3("a"), 20)
+
+
+def test_level_cap_refuses_a_huge_level_at_once():
+    # the vertex count is multiplied only until it passes the cap, so a
+    # level of 10**7 is refused without computing 3**(10**7)
+    start = time.monotonic()
+    with pytest.raises(LevelTooLarge):
+        level_permutation(T3, w3("a"), 10**7)
+    with pytest.raises(LevelTooLarge):
+        portrait(T3, w3("a"), 10**7)
+    assert time.monotonic() - start < 1.0
+    # the orbit checks the level before it reads the vertex
+    with pytest.raises(LevelTooLarge):
+        vertex_orbit(T3, (9,) * 20)
 
 
 def test_vertex_orbit_sizes():

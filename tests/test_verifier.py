@@ -50,22 +50,26 @@ def test_run_all_skips_at_even_arity():
 
 
 def test_individual_checks_at_larger_odd_arities():
-    assert check_lemma_chains(7).ok
-    assert check_fractal_witnesses(7).ok
-    assert check_branch_witnesses(5).ok
-    assert check_section_tables(6).ok
-    assert check_noncontracting_witness(6).ok
+    assert check_lemma_chains(build_table(7)).ok
+    assert check_fractal_witnesses(build_table(7)).ok
+    assert check_branch_witnesses(build_table(5)).ok
+    assert check_section_tables(build_table(6)).ok
+    assert check_noncontracting_witness(build_table(6)).ok
 
 
 def test_lemma_chain_preconditions():
     with pytest.raises(ValueError):
-        check_lemma_chains(4)
+        check_lemma_chains(build_table(4))
     with pytest.raises(ValueError):
-        check_lemma_chains(11)
+        check_lemma_chains(build_table(11))
     with pytest.raises(ValueError):
-        check_fractal_witnesses(6)
+        check_fractal_witnesses(build_table(6))
     with pytest.raises(ValueError):
-        check_branch_witnesses(4)
+        check_branch_witnesses(build_table(4))
+    with pytest.raises(ValueError):
+        check_hk_and_branch(build_table(5))
+    with pytest.raises(ValueError):
+        check_parity_and_even_d(build_table(5), build_table(4))
 
 
 def test_transitivity_check():
@@ -168,7 +172,7 @@ def test_exponent_laws_match_the_word_level_laws():
     assert passed > 0
 
 
-def test_expectation_rows_catch_a_changed_section(monkeypatch):
+def test_expectation_rows_catch_a_changed_section():
     # the arity-3 family table with the section of b at slot 3 changed
     # from c to a: every kind of expectation row must notice
     broken = load_table(
@@ -176,30 +180,53 @@ def test_expectation_rows_catch_a_changed_section(monkeypatch):
         "b = (e, b, a) (2 3)\n"
         "c = (a, e, c) (1 3)\n"
     )
-    monkeypatch.setattr("arbora.verifier.build_table", lambda d: broken)
     for rep, label in [
-        (check_section_tables(3), "pair a1 a2: section at 3"),
-        (check_branch_witnesses(3), "commutator pair 1: section at 1"),
-        (check_lemma_chains(3), "g**(d-1): section at 2"),
-        (check_fractal_witnesses(3), "rotated product: section at 3"),
-        (check_hk_and_branch(), "first-slot lift of c'a: section at 3"),
+        (check_section_tables(broken), "pair a1 a2: section at 3"),
+        (check_branch_witnesses(broken), "commutator pair 1: section at 1"),
+        (check_lemma_chains(broken), "g**(d-1): section at 2"),
+        (check_fractal_witnesses(broken), "rotated product: section at 3"),
+        (check_hk_and_branch(broken), "first-slot lift of c'a: section at 3"),
     ]:
         assert rep.status == "fail" and label in rep.detail
 
 
-def test_parity_check_catches_an_even_generator(monkeypatch):
+def test_noncontracting_witness_catches_a_moved_vertex():
+    # a's root permutation made trivial: the full product a b c then
+    # sends vertex 1 to 3
+    rootless = load_table(
+        "a = (a, b, e) ()\n"
+        "b = (e, b, c) (2 3)\n"
+        "c = (a, e, c) (1 3)\n"
+    )
+    rep = check_noncontracting_witness(rootless)
+    assert rep.status == "fail"
+    assert rep.detail == "full product moves vertex 1"
+
+
+def test_noncontracting_witness_catches_a_changed_self_section():
+    # a's section at slot 1 made trivial: a b c still fixes vertex 1, but
+    # its section there is b c
+    shrunk = load_table(
+        "a = (e, b, e) (1 2)\n"
+        "b = (e, b, c) (2 3)\n"
+        "c = (a, e, c) (1 3)\n"
+    )
+    rep = check_noncontracting_witness(shrunk)
+    assert rep.status == "fail"
+    assert rep.detail == "full product is not its own section at vertex 1"
+
+
+def test_parity_check_catches_an_even_generator():
     # each arity-3 generator's root permutation replaced by each of the 5
     # others: a generator has odd length, so the 9 even replacements break
     # the parity law and the 6 odd ones keep it
     base = build_table(3)
+    table4 = build_table(4)
     statuses = []
     for table in single_cell_mutations(base):
         if table.sections != base.sections:
             continue
-        monkeypatch.setattr(
-            "arbora.verifier.build_table", lambda d: table if d == 3 else build_table(d)
-        )
-        rep = check_parity_and_even_d()
+        rep = check_parity_and_even_d(table, table4)
         (changed,) = [p for p, q in zip(table.perms, base.perms) if p != q]
         even = changed.images in {(1, 2, 3), (2, 3, 1), (3, 1, 2)}
         assert rep.ok != even
@@ -209,6 +236,44 @@ def test_parity_check_catches_an_even_generator(monkeypatch):
     assert (statuses.count("fail"), statuses.count("pass")) == (9, 6)
 
 
+def test_every_check_on_the_single_cell_mutations():
+    # every check judges the table it is given; on the 204 single-cell
+    # mutations of the arity-3 table the closed-form checks fail on all of
+    # them, and the other checks on those the pinned counts record
+    table4 = build_table(4)
+    checks = {
+        "exponent_laws": check_exponent_laws,
+        "section_tables": check_section_tables,
+        "lemma_chains": check_lemma_chains,
+        "noncontracting_witness": check_noncontracting_witness,
+        "transitivity": lambda t: check_transitivity(t, 4),
+        "fractal_witnesses": check_fractal_witnesses,
+        "branch_witnesses": check_branch_witnesses,
+        "free_semigroup": lambda t: check_free_semigroup(t, 3),
+        "hk_and_branch": check_hk_and_branch,
+        "parity_and_even_d": lambda t: check_parity_and_even_d(t, table4),
+    }
+    assert list(checks) == list(CHECK_IDS)
+    mutants = list(single_cell_mutations(build_table(3)))
+    assert len(mutants) == 204
+    fails = {
+        check_id: sum(check(t).status == "fail" for t in mutants)
+        for check_id, check in checks.items()
+    }
+    assert fails == {
+        "exponent_laws": 189,
+        "section_tables": 204,
+        "lemma_chains": 204,
+        "noncontracting_witness": 75,
+        "transitivity": 0,
+        "fractal_witnesses": 204,
+        "branch_witnesses": 204,
+        "free_semigroup": 12,
+        "hk_and_branch": 203,
+        "parity_and_even_d": 9,
+    }
+
+
 def test_aligner_rows_follow_the_catalog_factor_order(monkeypatch):
     # an aligner's expected permutation multiplies the balancers' expected
     # permutations in the order the catalog multiplies the balancers;
@@ -216,7 +281,7 @@ def test_aligner_rows_follow_the_catalog_factor_order(monkeypatch):
     monkeypatch.setattr(
         "arbora.verifier._aligner_factors", lambda d, i: _aligner_factors(d, i)[::-1]
     )
-    rep = check_branch_witnesses(5)
+    rep = check_branch_witnesses(build_table(5))
     assert rep.status == "fail" and "aligner 1: permutation" in rep.detail
 
 
@@ -228,10 +293,16 @@ def test_closed_forms_never_decide_the_word_problem(monkeypatch):
 
     monkeypatch.setattr("arbora.verifier.are_equal", forbidden)
     monkeypatch.setattr("arbora.verifier.is_identity", forbidden)
+    monkeypatch.setattr("arbora.verifier.order_probe", forbidden)
     for d in (3, 5):
-        for check in (check_section_tables, check_lemma_chains, check_fractal_witnesses):
-            assert check(d).status == "pass"
-    assert check_hk_and_branch().status == "pass"
+        for check in (
+            check_section_tables,
+            check_lemma_chains,
+            check_noncontracting_witness,
+            check_fractal_witnesses,
+        ):
+            assert check(build_table(d)).status == "pass"
+    assert check_hk_and_branch(build_table(3)).status == "pass"
 
 
 def test_report_ok_property():
@@ -241,7 +312,7 @@ def test_report_ok_property():
 
 
 def test_hk_and_branch_check():
-    rep = check_hk_and_branch()
+    rep = check_hk_and_branch(build_table(3))
     assert rep.status == "pass"
     assert rep.detail == "2 first-slot lifts fold to their stated sections"
 
@@ -251,14 +322,14 @@ def test_free_semigroup_budget(monkeypatch):
     # holding 21 candidate pairs
     monkeypatch.setattr("arbora.verifier._PAIR_BUDGET", 20)
     with pytest.raises(BudgetExceeded):
-        check_free_semigroup(3, 4)
+        check_free_semigroup(build_table(3), 4)
     monkeypatch.setattr("arbora.verifier._PAIR_BUDGET", 21)
-    rep = check_free_semigroup(3, 4)
+    rep = check_free_semigroup(build_table(3), 4)
     assert rep.ok and rep.data["pairs_checked"] == 21
 
 
 def test_free_semigroup_counts():
-    rep = check_free_semigroup(3, 4)
+    rep = check_free_semigroup(build_table(3), 4)
     assert rep.ok
     assert rep.data["words"] == 3 + 9 + 27 + 81
 
@@ -267,14 +338,14 @@ def test_free_semigroup_flags_even_arity_coincidences():
     # at arity 4 the generators a1 and a3 have disjoint supports and
     # commute, so the distinctness property genuinely fails there; the
     # check must find the coincidence rather than report a pass
-    rep = check_free_semigroup(4, 2)
+    rep = check_free_semigroup(build_table(4), 2)
     assert rep.status == "fail"
     assert "a1 a3" in rep.detail and "coincide" in rep.detail
     assert rep.data["words"] == 4 + 16
 
 
 def test_parity_check():
-    rep = check_parity_and_even_d()
+    rep = check_parity_and_even_d(build_table(3), build_table(4))
     assert rep.status == "pass"
     assert rep.detail == (
         "root permutations of all 3 generators odd, so stabilizer words have "

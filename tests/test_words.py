@@ -15,7 +15,6 @@ from arbora.words import (
     commutator,
     concat,
     cyclic_normalize,
-    exponent_total,
     exponent_vector,
     format_word,
     invert,
@@ -84,7 +83,6 @@ def test_commutator():
 def test_exponent_vector_and_total():
     w = Word(A3, (1, 1, -2))
     assert exponent_vector(w) == (2, -1, 0)
-    assert exponent_total(w) == 1
     assert exponent_vector(Word(A3)) == (0, 0, 0)
 
 
