@@ -26,12 +26,7 @@ from .tree import (
     vertex_orbit,
 )
 from .verifier import check_free_semigroup, run_all
-from .wordproblem import (
-    DEFAULT_MAX_NODES,
-    Finite,
-    is_identity,
-    order_probe,
-)
+from .wordproblem import Finite, is_identity, order_probe
 from .words import Word, canonical_names, exponent_vector, format_word, parse_word
 
 
@@ -88,13 +83,11 @@ def _fmt(table: RecursionTable, w: Word) -> str:
     return format_word(w, names)
 
 
-def _max_nodes(args) -> int:
+def _max_nodes(args) -> int | None:
     flag = getattr(args, "max_nodes", None)
-    if flag is not None:
-        if flag < 1:
-            raise ArboraError(f"--max-nodes must be positive, got {flag}")
-        return flag
-    return DEFAULT_MAX_NODES
+    if flag is not None and flag < 1:
+        raise ArboraError(f"--max-nodes must be positive, got {flag}")
+    return flag
 
 
 def _iter_words(args, table: RecursionTable):
@@ -163,8 +156,6 @@ def cmd_order_probe(args) -> int:
 def cmd_orbit(args) -> int:
     table = _resolve_table(args)
     k = args.level
-    if k < 0:
-        raise ArboraError(f"level must be nonnegative, got {k}")
     _check_level_size(table.alphabet.d, k)
     print(len(vertex_orbit(table, (1,) * k)))
     return 0

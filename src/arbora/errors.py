@@ -30,7 +30,7 @@ class EmptyWord(ArboraError):
 
 
 class BadVertex(ArboraError):
-    """A vertex path contains an entry outside 1..d."""
+    """A vertex path contains an entry outside 1..d, or a negative level."""
 
 
 class LevelTooLarge(ArboraError):

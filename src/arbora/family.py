@@ -79,8 +79,7 @@ def catalog(d: int) -> dict[str, Word]:
       rist_lift_ca (d = 3)  first-slot lift of c' a
       rist_lift_absq (d = 3)  first-slot lift of (a b)**2
     """
-    table = build_table(d)  # validates d and fixes the alphabet
-    alphabet = table.alphabet
+    alphabet = Alphabet(d)
     a = {i: Word(alphabet, (i,)) for i in range(1, d + 1)}
     entries: dict[str, Word] = {
         "g": Word(alphabet, tuple(range(1, d + 1))),

@@ -300,8 +300,11 @@ def wreath(table: RecursionTable, w: Word) -> WreathRecursion:
 
 
 def _check_level_size(d: int, k: int) -> None:
-    """Refuse a level whose d**k vertices exceed DEFAULT_VERTEX_CAP.  The
-    product stops once it passes the cap, so a huge k costs a few steps."""
+    """Refuse a negative level, or one whose d**k vertices exceed
+    DEFAULT_VERTEX_CAP.  The product stops once it passes the cap, so a
+    huge k costs a few steps."""
+    if k < 0:
+        raise BadVertex(f"level must be nonnegative, got {k}")
     size = 1
     for _ in range(k):
         size *= d
@@ -315,8 +318,6 @@ def level_permutation(table: RecursionTable, w: Word, k: int) -> tuple[Vertex, .
     """Images of every level-k vertex in lexicographic order."""
     _check_alphabet(table, w)
     d = table.alphabet.d
-    if k < 0:
-        raise BadVertex(f"level must be nonnegative, got {k}")
     _check_level_size(d, k)
     out: list[Vertex] = []
 
@@ -336,8 +337,6 @@ def portrait(table: RecursionTable, w: Word, depth: int) -> Portrait:
     """Permutations down to the given depth; leaves keep their residual."""
     _check_alphabet(table, w)
     d = table.alphabet.d
-    if depth < 0:
-        raise LevelTooLarge(f"depth must be nonnegative, got {depth}")
     _check_level_size(d, depth)
 
     def build(u: Word, remaining: int) -> Portrait:
@@ -367,11 +366,12 @@ def format_portrait(p: Portrait, names: tuple[str, ...] | None = None) -> str:
 
 
 def vertex_orbit(table: RecursionTable, v: Vertex) -> set[Vertex]:
-    """Closure of {v} under all generators and their inverses (BFS)."""
+    """Closure of {v} under the generators (BFS).  A level is finite, so a
+    set closed under a permutation is closed under its inverse too."""
     d = table.alphabet.d
     _check_level_size(d, len(v))
     check_vertex(v, d)
-    moves = [Word(table.alphabet, (l,)) for i in range(1, d + 1) for l in (i, -i)]
+    moves = [Word(table.alphabet, (i,)) for i in range(1, d + 1)]
     seen = {v}
     frontier = [v]
     while frontier:

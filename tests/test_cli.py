@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 from arbora.cli import main
+from arbora.errors import BadVertex
 from arbora.family import build_table
-from arbora.tree import format_table
+from arbora.tree import format_table, level_permutation, portrait
+from arbora.words import Word
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -96,6 +98,16 @@ def test_orbit(capsys):
     assert (code, out.strip()) == (0, "27")
     code, out, _ = run(capsys, "orbit", "--d", "5", "2")
     assert (code, out.strip()) == (0, "25")
+
+
+def test_a_negative_level_is_one_error_everywhere(capsys):
+    table = build_table(3)
+    a = Word(table.alphabet, (1,))
+    for call in (level_permutation, portrait):
+        with pytest.raises(BadVertex, match="^level must be nonnegative, got -1$"):
+            call(table, a, -1)
+    code, out, err = run(capsys, "orbit", "--d", "3", "-1")
+    assert (code, out, err) == (2, "", "error: level must be nonnegative, got -1\n")
 
 
 def test_orbit_refuses_a_huge_level_at_once(capsys):

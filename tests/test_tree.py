@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import pytest
@@ -229,6 +230,23 @@ def test_vertex_orbit_sizes():
     assert len(vertex_orbit(T3, (1,))) == 3
     assert len(vertex_orbit(T3, (1, 1, 1))) == 27
     assert len(vertex_orbit(T5, (1, 1))) == 25
+
+
+def test_vertex_orbit_is_the_closure_under_inverses_too():
+    # the README table is not level-transitive (the orbit of 11 has 9
+    # vertices); closing under the generators alone finds the orbits that
+    # closing under the generators and their inverses finds
+    A = README.alphabet
+    moves = [Word(A, (l,)) for i in A.indices() for l in (i, -i)]
+    for k in range(5):
+        for v in itertools.product(A.indices(), repeat=k):
+            seen, frontier = {v}, {v}
+            while frontier:
+                frontier = {act_vertex(README, m, u) for u in frontier for m in moves}
+                frontier -= seen
+                seen |= frontier
+            assert vertex_orbit(README, v) == seen
+    assert len(vertex_orbit(README, (1, 1))) == 9
 
 
 # ---------------------------------------------------------------------------

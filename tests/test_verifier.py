@@ -287,22 +287,27 @@ def test_aligner_rows_follow_the_catalog_factor_order(monkeypatch):
 
 def test_closed_forms_never_decide_the_word_problem(monkeypatch):
     # a closed form states a section word, so its check compares letters;
-    # it must not be decided by the search whose soundness it supports
+    # it must not be decided by the search whose soundness it supports.
+    # Only the free-semigroup sweep asks the search.
     def forbidden(*args, **kwargs):
         raise AssertionError("closed-form check called the decision")
 
     monkeypatch.setattr("arbora.verifier.are_equal", forbidden)
     monkeypatch.setattr("arbora.verifier.is_identity", forbidden)
-    monkeypatch.setattr("arbora.verifier.order_probe", forbidden)
-    for d in (3, 5):
+    for d in (3, 5, 7):
+        table = build_table(d)
         for check in (
+            check_exponent_laws,
             check_section_tables,
             check_lemma_chains,
             check_noncontracting_witness,
             check_fractal_witnesses,
+            check_branch_witnesses,
         ):
-            assert check(build_table(d)).status == "pass"
+            assert check(table).status == "pass"
+        assert check_transitivity(table, 2).status == "pass"
     assert check_hk_and_branch(build_table(3)).status == "pass"
+    assert check_parity_and_even_d(build_table(3), build_table(4)).status == "pass"
 
 
 def test_report_ok_property():
