@@ -26,10 +26,16 @@ a balancer row shows the balancer rooted, which fixes its order and at
 arity 3 makes the three balancers one element, and the arity-4 trivial
 word is a row with trivial sections.
 
-Only free_semigroup runs the search.  Its "nontrivial" half cannot fail
-while is_identity answers nonidentity for every one-signed word; it is
-there for a search without that rule, which finds trivial squares such
-as a a on a table with a = (a, a, e) (1 2).
+Only free_semigroup runs the search, and only where level actions
+cannot answer.  It composes the generators' level-3 actions along each
+positive word, buckets the words by level-2 action and counts every
+pair in a bucket as one equality check.  A word that moves a level-2
+vertex is nontrivial and words with different level-3 actions differ,
+so the search is asked only about words with trivial level-2 action
+and about pairs whose level-3 actions agree.  The "nontrivial" half
+cannot fail while is_identity answers nonidentity for every one-signed
+word; it is there for a search without that rule, which finds trivial
+squares such as a a on a table with a = (a, a, e) (1 2).
 
 Checks return Report records instead of raising on mathematical
 failure, so a batch run can show exactly which identity broke.  Checks
@@ -88,11 +94,19 @@ class Report:
         return self.status != "fail"
 
 
-def _finish(check_id: str, problems: list[str], detail: str, **data) -> Report:
+_SHOWN = 3  # problems a failing report lists before "and N more"
+
+
+def _finish(
+    check_id: str, problems: list[str], detail: str, unshown: int = 0, **data
+) -> Report:
+    """A failing report lists the first _SHOWN problems; unshown counts
+    further problems that the caller left unformatted."""
     if problems:
-        shown = "; ".join(problems[:3])
-        if len(problems) > 3:
-            shown += f"; and {len(problems) - 3} more"
+        shown = "; ".join(problems[:_SHOWN])
+        more = len(problems) - _SHOWN + unshown
+        if more > 0:
+            shown += f"; and {more} more"
         return Report(check_id, "fail", shown, data)
     return Report(check_id, "pass", detail, data)
 
@@ -433,44 +447,93 @@ def check_branch_witnesses(table: RecursionTable) -> Report:
 # 8. freeness of the positive words
 
 
-_PAIR_BUDGET = 10**6  # equality checks the free-semigroup sweep may make
+_PAIR_BUDGET = 10**6  # candidate pairs ("equality checks") a sweep may count
 
 
 def check_free_semigroup(table: RecursionTable, max_len: int) -> Report:
     """All positive words up to max_len define pairwise distinct,
     nontrivial elements.
 
-    Candidate pairs are pre-filtered by their level-2 vertex action
-    before the pairwise equality checks: words acting differently on
-    level 2 are different elements on any table.  Raises BudgetExceeded
-    if the number of equality checks would pass _PAIR_BUDGET."""
+    The action on a level is a group action, so the sweep builds each
+    word's level-3 action by composing its prefix's with the last
+    letter's, and reads the level-2 action off it.  Words are bucketed
+    by level-2 action; every pair within a bucket is a candidate and
+    counts as one equality check.  A word that moves a level-2 vertex is
+    nontrivial, and two words that act differently on level 3 are
+    different elements, on any table.  So the search is asked only
+    whether a word with trivial level-2 action is trivial, and whether
+    the candidates with equal level-3 actions are equal.  Raises
+    BudgetExceeded if there are more than _PAIR_BUDGET candidate pairs."""
     A = table.alphabet
     d = A.d
-    problems: list[str] = []
-    buckets: dict = {}
+    n = d**3
+    # each level-3 action as the images of the level-3 vertices, all
+    # numbered 0..n-1 in lexicographic order; the level-2 vertex xy is
+    # the prefix of xy1, whose number is d times that of xy
+    maps = {
+        l: [((x - 1) * d + y - 1) * d + z - 1
+            for x, y, z in level_permutation(table, Word(A, (l,)), 3)]
+        for l in A.indices()
+    }
+    if n <= 256:
+        # bytes.translate composes with a 256-entry map at C speed
+        tables = {l: bytes(m).ljust(256, b"\0") for l, m in maps.items()}
+        floor = bytes(i // d for i in range(256))
+        start = bytes(range(n))
+
+        def then(img, l):
+            return img.translate(tables[l])
+
+        def level2(img):
+            return img[::d].translate(floor)
+    else:
+        from array import array  # here, not at the top: only d >= 7 needs it
+
+        code = "H" if n <= 1 << 16 else "L"
+        start = array(code, range(n))
+
+        def then(img, l):
+            return array(code, map(maps[l].__getitem__, img))
+
+        def level2(img):
+            return tuple(i // d for i in img[::d])
+
+    fixed = level2(start)
+    trivial, coincide = [], []
+    buckets: dict = {}  # level-2 action -> [(letters, level-3 class)]
+    classes: dict = {}  # level-3 action as bytes -> class number
     total = 0
+    prefixes = [((), start)]
     for length in range(1, max_len + 1):
-        for letters in itertools.product(range(1, d + 1), repeat=length):
-            w = Word(A, letters)
-            total += 1
-            if is_identity(table, w).is_identity:
-                problems.append(f"positive word {w} is trivial")
-            buckets.setdefault(level_permutation(table, w, 2), []).append(w)
-    pairs_checked = 0
+        layer = []  # kept only as the prefixes of the next length
+        for prefix, before in prefixes:
+            for l in A.indices():
+                letters, img = prefix + (l,), then(before, l)
+                total += 1
+                key = level2(img)
+                if key == fixed and is_identity(table, Word(A, letters)).is_identity:
+                    trivial.append(letters)
+                level3 = classes.setdefault(bytes(img), len(classes))
+                buckets.setdefault(key, []).append((letters, level3))
+                if length < max_len:
+                    layer.append((letters, img))
+        prefixes = layer
+    pairs_checked = sum(len(b) * (len(b) - 1) // 2 for b in buckets.values())
+    if pairs_checked > _PAIR_BUDGET:
+        raise BudgetExceeded(f"more than {_PAIR_BUDGET} equality checks needed")
     for bucket in buckets.values():
-        for u, v in itertools.combinations(bucket, 2):
-            pairs_checked += 1
-            if pairs_checked > _PAIR_BUDGET:
-                raise BudgetExceeded(
-                    f"more than {_PAIR_BUDGET} equality checks needed"
-                )
-            if are_equal(table, u, v):
-                problems.append(f"positive words {u} and {v} coincide")
+        for (u, cu), (v, cv) in itertools.combinations(bucket, 2):
+            if cu == cv and are_equal(table, Word(A, u), Word(A, v)):
+                coincide.append((u, v))
+    problems = [f"positive word {Word(A, w)} is trivial" for w in trivial[:_SHOWN]]
+    problems += [f"positive words {Word(A, u)} and {Word(A, v)} coincide"
+                 for u, v in coincide[:_SHOWN - len(problems)]]
     return _finish(
         "free_semigroup",
         problems,
         f"{total} positive words up to length {max_len} pairwise distinct "
         f"({pairs_checked} equality checks)",
+        len(trivial) + len(coincide) - len(problems),
         words=total,
         pairs_checked=pairs_checked,
     )

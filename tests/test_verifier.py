@@ -5,7 +5,7 @@ import pytest
 
 from arbora.errors import BudgetExceeded
 from arbora.family import _aligner_factors, build_table
-from arbora.tree import Permutation, load_table, wreath
+from arbora.tree import Permutation, level_permutation, load_table, wreath
 from arbora.verifier import (
     CHECK_IDS,
     Report,
@@ -21,6 +21,7 @@ from arbora.verifier import (
     check_transitivity,
     run_all,
 )
+from arbora.wordproblem import are_equal, is_identity
 from arbora.words import Word, exponent_vector
 
 
@@ -337,6 +338,64 @@ def test_free_semigroup_counts():
     rep = check_free_semigroup(build_table(3), 4)
     assert rep.ok
     assert rep.data["words"] == 3 + 9 + 27 + 81
+
+
+def brute_force_free_semigroup(table, max_len):
+    """The sweep without composition: every word walked to level 2 for its
+    bucket, the search asked on every word and on every bucket pair."""
+    A = table.alphabet
+    problems, buckets, total = [], {}, 0
+    for length in range(1, max_len + 1):
+        for letters in itertools.product(A.indices(), repeat=length):
+            w = Word(A, letters)
+            total += 1
+            if is_identity(table, w).is_identity:
+                problems.append(f"positive word {w} is trivial")
+            buckets.setdefault(level_permutation(table, w, 2), []).append(w)
+    pairs = [p for b in buckets.values() for p in itertools.combinations(b, 2)]
+    problems += [f"positive words {u} and {v} coincide"
+                 for u, v in pairs if are_equal(table, u, v)]
+    data = {"words": total, "pairs_checked": len(pairs)}
+    if not problems:
+        return "pass", (f"{total} positive words up to length {max_len} pairwise "
+                        f"distinct ({len(pairs)} equality checks)"), data
+    more = f"; and {len(problems) - 3} more" if len(problems) > 3 else ""
+    return "fail", "; ".join(problems[:3]) + more, data
+
+
+def test_free_semigroup_matches_the_brute_force_sweep():
+    # composed level actions decide only questions whose answer is
+    # "nontrivial" or "distinct"; the report is the brute force's, on the
+    # family (arity 7 composes arrays rather than bytes) and on every
+    # single-cell mutation of the arity-3 table
+    family = ((3, 5), (4, 4), (5, 3), (7, 2))
+    cases = [(build_table(d), max_len) for d, max_len in family]
+    cases += [(t, 4) for t in single_cell_mutations(build_table(3))]
+    assert len(cases) == 4 + 204
+    for table, max_len in cases:
+        rep = check_free_semigroup(table, max_len)
+        assert (rep.status, rep.detail, rep.data) == brute_force_free_semigroup(
+            table, max_len
+        )
+
+
+def test_free_semigroup_asks_the_search_only_where_levels_agree(monkeypatch):
+    # a word that moves a level-2 vertex is nontrivial and two words with
+    # different level-3 actions are different, so only the rest are asked
+    calls = {"is_identity": 0, "are_equal": 0}
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name, real in (("is_identity", is_identity), ("are_equal", are_equal)):
+        monkeypatch.setattr(f"arbora.verifier.{name}", counted(name, real))
+    for d, max_len, expected in ((3, 5, (0, 0)), (3, 6, (21, 3)), (4, 5, (0, 1108))):
+        calls.update(is_identity=0, are_equal=0)
+        check_free_semigroup(build_table(d), max_len)
+        assert (calls["is_identity"], calls["are_equal"]) == expected
 
 
 def test_free_semigroup_flags_even_arity_coincidences():
