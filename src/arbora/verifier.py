@@ -463,7 +463,8 @@ def check_free_semigroup(table: RecursionTable, max_len: int) -> Report:
     different elements, on any table.  So the search is asked only
     whether a word with trivial level-2 action is trivial, and whether
     the candidates with equal level-3 actions are equal.  Raises
-    BudgetExceeded if there are more than _PAIR_BUDGET candidate pairs."""
+    BudgetExceeded as soon as the candidate pairs pass _PAIR_BUDGET: a
+    word joining a bucket of s words adds s pairs."""
     A = table.alphabet
     d = A.d
     n = d**3
@@ -502,7 +503,7 @@ def check_free_semigroup(table: RecursionTable, max_len: int) -> Report:
     trivial, coincide = [], []
     buckets: dict = {}  # level-2 action -> [(letters, level-3 class)]
     classes: dict = {}  # level-3 action as bytes -> class number
-    total = 0
+    total = pairs_checked = 0
     prefixes = [((), start)]
     for length in range(1, max_len + 1):
         layer = []  # kept only as the prefixes of the next length
@@ -513,14 +514,16 @@ def check_free_semigroup(table: RecursionTable, max_len: int) -> Report:
                 key = level2(img)
                 if key == fixed and is_identity(table, Word(A, letters)).is_identity:
                     trivial.append(letters)
-                level3 = classes.setdefault(bytes(img), len(classes))
-                buckets.setdefault(key, []).append((letters, level3))
+                bucket = buckets.setdefault(key, [])
+                pairs_checked += len(bucket)
+                if pairs_checked > _PAIR_BUDGET:
+                    raise BudgetExceeded(
+                        f"more than {_PAIR_BUDGET} equality checks needed"
+                    )
+                bucket.append((letters, classes.setdefault(bytes(img), len(classes))))
                 if length < max_len:
                     layer.append((letters, img))
         prefixes = layer
-    pairs_checked = sum(len(b) * (len(b) - 1) // 2 for b in buckets.values())
-    if pairs_checked > _PAIR_BUDGET:
-        raise BudgetExceeded(f"more than {_PAIR_BUDGET} equality checks needed")
     for bucket in buckets.values():
         for (u, cu), (v, cv) in itertools.combinations(bucket, 2):
             if cu == cv and are_equal(table, Word(A, u), Word(A, v)):

@@ -4,8 +4,12 @@ The decision explores the section words reachable from the input, depth
 first on an explicit stack, keeping a set of the cyclically normalized
 cores it has already expanded:
 
-  1. a reachable section with a nontrivial first-level permutation is a
-     certificate of nontriviality;
+  1. a reachable section that moves a vertex is a certificate of
+     nontriviality.  Each node is tested on the deepest level with at
+     most 32 vertices (level 3 at d = 3, 2 at d = 4..5, 1 at d >= 6): its
+     action there is composed from the table's per-letter rows, one
+     bytes.translate per letter, so a word that first moves a vertex on
+     that level stops at node 1;
   2. otherwise the section is cyclically normalized, which rotates a
      core holding letters of both signs to end in an inverse-then-plain
      pair.  A core that does not end so has letters of one sign only and
@@ -17,7 +21,10 @@ cores it has already expanded:
      sections are pushed, each folded only when it is popped, and empty
      sections are skipped;
   4. an exhausted stack means every reachable section fixes the first
-     level, and so the word is the identity.
+     level, and so the word is the identity.  Testing a level deeper than
+     the first changes no verdict, only how soon a nontrivial word is
+     answered: a moved vertex on any level proves nontriviality, and a
+     trivial word passes every test.
 
 Cyclic normalization is a conjugation, and conjugates of level
 stabilizer elements stabilize the same level, so skipping a core already
@@ -33,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NodeBudgetExceeded
-from .tree import RecursionTable, _check_alphabet, _fold_once, _root_images
+from .tree import RecursionTable, _check_alphabet, _compose, _fold_once
 from .words import Word, _reduced, concat, cyclic_normalize, invert
 
 DEFAULT_MAX_NODES = 10**7
@@ -80,7 +87,8 @@ def is_identity(
     if not w.letters:
         return Decision(True, 1, 1)
     d = alphabet.d
-    fixed = tuple(alphabet.indices())
+    rows = table._rows[-1]
+    fixed = rows[0]
     nodes = max_depth = 0
     seen: set[tuple[int, ...]] = set()
     # (core, slot, depth): the section of core at slot, folded when popped;
@@ -96,11 +104,9 @@ def is_identity(
             raise NodeBudgetExceeded(f"identity search exceeded {budget} nodes")
         if depth > max_depth:
             max_depth = depth
-        # Image rows are cheaper than the fold, and most words stop here at
-        # node 1.  Taking the images from d eager folds (of the core or of
-        # the popped section) made decide-batch about twice as slow and
-        # long-words no faster (best of 5 passes, seed 3, 2-vCPU host).
-        if _root_images(table, letters) != fixed:
+        # The level action costs one bytes.translate per letter, far less
+        # than the fold, and most words stop here at node 1.
+        if _compose(rows, letters) != fixed:
             return Decision(False, nodes, max_depth)
         key = cyclic_normalize(_reduced(alphabet, letters)).letters
         if not (len(key) > 1 and key[-2] < 0 < key[-1]):

@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from typing import Iterable, Iterator, Mapping
+from operator import add
+from typing import Iterator, Mapping, Sequence
 
 from .errors import (
     AlphabetMismatch,
@@ -55,8 +56,11 @@ class Alphabet:
         return range(1, self.d + 1)
 
 
-def reduce_letters(raw: Iterable[int]) -> tuple[int, ...]:
+def reduce_letters(raw: Sequence[int]) -> tuple[int, ...]:
     """Freely reduce a raw signed-letter sequence (stack cancellation)."""
+    if 0 not in map(add, raw, raw[1:]):
+        # no adjacent pair cancels, so the letters are reduced already
+        return tuple(raw)
     out: list[int] = []
     for letter in raw:
         if out and out[-1] == -letter:

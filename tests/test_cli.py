@@ -1,13 +1,17 @@
 import doctest
 import itertools
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import arbora
 from arbora.cli import main
 from arbora.errors import BadVertex
 from arbora.family import build_table
@@ -155,6 +159,30 @@ def test_free_semigroup_command(capsys):
     assert "words=39" in out
 
 
+def test_pair_budget_stops_the_sweep_early():
+    # the candidate pairs pass the budget among the length-10 words, so
+    # the length-11 words are never made; enumerating all 265,719 words up
+    # to length 11 before counting held about 100 MB
+    script = (
+        "import resource, sys\n"
+        "from arbora.cli import main\n"
+        "code = main(['free-semigroup', '--d', '3', '--max-len', '11'])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "sys.exit(code)\n"
+    )
+    src = str(Path(arbora.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: more than 1000000 equality checks needed\n"
+    assert int(proc.stdout) < 60 * 1024  # ru_maxrss is in KiB on Linux
+
+
 def test_verify_paper_tsv(capsys):
     code, out, _ = run(capsys, "verify-paper", "--d", "3")
     assert code == 0
@@ -186,8 +214,9 @@ def test_usage_errors(capsys):
 
 
 def test_max_nodes_flag_sets_the_budget(capsys):
-    # deciding a'^2 b' a^2 b descends into at least one section
-    deep = "a'^2 b' a^2 b"
+    # a'^12 b'^12 a^12 b^12 fixes level 3, so deciding it descends into
+    # at least one section
+    deep = "a'^12 b'^12 a^12 b^12"
     code, _, err = run(capsys, "identity", "--d", "3", deep, "--max-nodes", "1")
     assert code == 2 and "nodes" in err
     code, out, _ = run(

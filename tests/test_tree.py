@@ -285,6 +285,24 @@ def test_load_table_errors():
         load_table("a = (a, b, e) (1 5)\nb = (e, b, c) (2 3)\nc = (a, e, c) (3 1)")
 
 
+def test_degree_is_capped_at_256():
+    # a level's vertices are numbered by bytes
+    def swap_table(d):
+        alphabet = Alphabet(d)
+        empty = Word(alphabet, ())
+        return RecursionTable(
+            alphabet,
+            tuple(f"a{i}" for i in alphabet.indices()),
+            ((empty,) * d,) * d,
+            (Permutation.from_cycles(d, [(1, d)]),) * d,
+        )
+
+    table = swap_table(256)
+    assert word_permutation(table, Word(table.alphabet, (1, 2, 3))).cycles() == ((1, 256),)
+    with pytest.raises(MalformedToken, match="degree 257"):
+        swap_table(257)
+
+
 # ---------------------------------------------------------------------------
 # structural laws on random words
 
@@ -401,3 +419,15 @@ def test_fold_matches_direct_evaluation(table, data):
     assert rec.perm.images == tuple(y for _, y in direct)
     assert rec.sections == tuple(Word(table.alphabet, tuple(s)) for s, _ in direct)
     assert act_vertex(table, w, v) == direct_act(table, w.letters, v)
+
+
+@pytest.mark.parametrize("table", [T3, T5, README, LONG], ids=["d3", "d5", "readme", "long"])
+@given(data=st.data())
+@settings(max_examples=60)
+def test_act_vertex_copies_the_rest_past_an_empty_section(table, data):
+    # short words on long vertices: the section empties on the way down
+    d = table.alphabet.d
+    w = data.draw(table_words(table, max_len=3))
+    v = data.draw(vertices(d, 12))
+    assert act_vertex(table, w, v) == direct_act(table, w.letters, v)
+    assert act_vertex(table, w, list(v)) == direct_act(table, w.letters, v)

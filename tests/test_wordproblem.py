@@ -83,7 +83,8 @@ def test_strategy_gating():
 
 
 def test_node_budget():
-    deep = commutator(w3("a a"), w3("b"))
+    # [a^12, b^12] fixes level 3, so the search goes past the first node
+    deep = commutator(w3("a^12"), w3("b^12"))
     free = is_identity(T3, deep)
     assert not free.is_identity and free.nodes_explored > 1
     with pytest.raises(NodeBudgetExceeded):
@@ -132,9 +133,9 @@ def test_count_law(table, data):
 
 
 @st.composite
-def small_tables(draw):
-    """Random tables at arity 3 or 4 whose sections have at most one letter."""
-    d = draw(st.sampled_from([3, 4]))
+def small_tables(draw, arities=(3, 4)):
+    """Random tables whose sections have at most one letter."""
+    d = draw(st.sampled_from(arities))
     alphabet = Alphabet(d)
     letters = st.lists(
         st.sampled_from([0, *range(1, d + 1), *range(-d, 0)]), min_size=d, max_size=d
@@ -160,6 +161,25 @@ def test_one_letter_tables_terminate(table, data):
     for w in data.draw(st.lists(words(d, 8), min_size=1, max_size=20)):
         if is_identity(table, w).is_identity:
             assert level_permutation(table, w, 3) == level3
+
+
+# the deepest level with at most 32 vertices, the level each node is tested on
+CHECKED_LEVEL = {3: 3, 4: 2, 5: 2}
+
+
+@given(small_tables(arities=(3, 4, 5)), st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_vertex_moved_on_the_checked_level_ends_the_search_at_node_1(table, data):
+    d = table.alphabet.d
+    k = CHECKED_LEVEL[d]
+    checked = tuple(itertools.product(range(1, d + 1), repeat=k))
+    level4 = tuple(itertools.product(range(1, d + 1), repeat=4))
+    for w in data.draw(st.lists(words(d, 8), min_size=1, max_size=10)):
+        dec = is_identity(table, w)
+        if level_permutation(table, w, k) != checked:
+            assert not dec.is_identity and dec.nodes_explored == 1
+        if dec.is_identity:
+            assert level_permutation(table, w, 4) == level4
 
 
 @given(words(3, 8), words(3, 6))
@@ -217,9 +237,9 @@ def test_recursion_limit_is_restored(monkeypatch):
     rng = random.Random(3)
     pool = (1, 2, 3, -1, -2, -3)
     u = Word(T3.alphabet, tuple(rng.choice(pool) for _ in range(40_000)))
-    # a^2 b a'^2 b' fixes level one and is not one-signed, so the search
-    # goes past the root
-    w = w3("a a b a' a' b'").conjugated(u)
+    # [a^12, b^12] fixes level 3 and is not one-signed, so the search goes
+    # past the first node
+    w = commutator(w3("a^12"), w3("b^12")).conjugated(u)
     assert len(w) > 40_000
     before = sys.getrecursionlimit()
 
