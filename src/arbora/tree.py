@@ -218,7 +218,7 @@ def _check_level(d: int) -> int:
     return k
 
 
-def _level_rows(steps: dict, d: int) -> tuple[tuple[bytes, ...], ...]:
+def _level_rows(steps: dict, d: int) -> tuple["_LevelRows", ...]:
     """Every letter's action on the levels 1.._check_level(d).
 
     A generator maps the vertex x v to l(x) l|_x(v), so its row on level j
@@ -244,17 +244,29 @@ def _level_rows(steps: dict, d: int) -> tuple[tuple[bytes, ...], ...]:
                     parts.append(sections[sec].translate(shift[y - 1]))
                 actions.append(b"".join(parts))
         ident = bytes(range(m * d))
-        rows: list = [ident] + [b""] * (2 * d)
+        rows = _LevelRows({0: ident})
         for i, action in enumerate(actions, start=1):
             rows[i] = bytes.maketrans(ident, action)
             rows[-i] = bytes.maketrans(action, ident)
-        levels.append(tuple(rows))
+        levels.append(rows)
     return tuple(levels)
 
 
-def _compose(rows: tuple[bytes, ...], letters: Iterable[int]) -> bytes:
-    """The letters' action on one level, from that level's rows."""
-    return reduce(bytes.translate, map(rows.__getitem__, letters), rows[0])
+class _LevelRows(dict):
+    """One level's rows: letter l (0 for the identity) -> its action, and
+    a letter pair (a, b) -> the action of a then b, composed on first use
+    and kept, so a level holds at most (2d)**2 pair rows."""
+
+    def __missing__(self, pair: tuple[int, int]) -> bytes:
+        row = self[pair] = self[pair[0]].translate(self[pair[1]])
+        return row
+
+
+def _compose(rows: _LevelRows, letters: Sequence[int]) -> bytes:
+    """The letters' action on one level, one translate per letter pair."""
+    it = iter(letters)
+    action = reduce(bytes.translate, map(rows.__getitem__, zip(it, it)), rows[0])
+    return action.translate(rows[letters[-1]]) if len(letters) & 1 else action
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +299,7 @@ def format_vertex(v: Vertex) -> str:
 
 def _check_alphabet(table: RecursionTable, w: Word) -> None:
     """Raise AlphabetMismatch unless w is a word over the table's alphabet."""
-    if w.alphabet != table.alphabet:
+    if w.alphabet is not table.alphabet and w.alphabet != table.alphabet:
         raise AlphabetMismatch(
             f"word over arity {w.alphabet.d} given to an arity-{table.alphabet.d} table"
         )

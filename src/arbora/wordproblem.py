@@ -6,10 +6,12 @@ cores it has already expanded:
 
   1. a reachable section that moves a vertex is a certificate of
      nontriviality.  Each node is tested on the deepest level with at
-     most 32 vertices (level 3 at d = 3, 2 at d = 4..5, 1 at d >= 6): its
-     action there is composed from the table's per-letter rows, one
-     bytes.translate per letter, so a word that first moves a vertex on
-     that level stops at node 1;
+     most 32 vertices (level 3 at d = 3, 2 at d = 4..5, 1 at d >= 6),
+     after its matched outer letters are peeled: the core left is a
+     conjugate, which moves a vertex exactly when the section does, so
+     u' r u costs only r.  Its action there is composed from the table's
+     rows, one bytes.translate per letter pair, so a word that first
+     moves a vertex on that level stops at node 1;
   2. otherwise the section is cyclically normalized, which rotates a
      core holding letters of both signs to end in an inverse-then-plain
      pair.  A core that does not end so has letters of one sign only and
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 
 from .errors import NodeBudgetExceeded
 from .tree import RecursionTable, _check_alphabet, _compose, _fold_once
-from .words import Word, _reduced, concat, cyclic_normalize, invert
+from .words import Word, _cyclic_core, _reduced, concat, cyclic_normalize, invert
 
 DEFAULT_MAX_NODES = 10**7
 
@@ -91,12 +93,12 @@ def is_identity(
     fixed = rows[0]
     nodes = max_depth = 0
     seen: set[tuple[int, ...]] = set()
-    # (core, slot, depth): the section of core at slot, folded when popped;
+    # (key, slot, depth): the section of key at slot, folded when popped;
     # slot 0 stands for the word itself
     stack = [(w.letters, 0, 1)]
     while stack:
-        core, x, depth = stack.pop()
-        letters = _fold_once(table, core, x)[0] if x else core
+        key, x, depth = stack.pop()
+        letters = _fold_once(table, key, x)[0] if x else key
         if not letters:
             continue
         nodes += 1
@@ -104,11 +106,12 @@ def is_identity(
             raise NodeBudgetExceeded(f"identity search exceeded {budget} nodes")
         if depth > max_depth:
             max_depth = depth
-        # The level action costs one bytes.translate per letter, far less
-        # than the fold, and most words stop here at node 1.
-        if _compose(rows, letters) != fixed:
+        # A translate per two letters of the core, far less than the fold;
+        # most words stop here at node 1.
+        core = _cyclic_core(letters)
+        if _compose(rows, core) != fixed:
             return Decision(False, nodes, max_depth)
-        key = cyclic_normalize(_reduced(alphabet, letters)).letters
+        key = cyclic_normalize(_reduced(alphabet, core)).letters
         if not (len(key) > 1 and key[-2] < 0 < key[-1]):
             return Decision(False, nodes, max_depth)
         if key in seen:

@@ -137,7 +137,7 @@ def invert(w: Word) -> Word:
 
 
 def concat(u: Word, v: Word) -> Word:
-    if u.alphabet != v.alphabet:
+    if u.alphabet is not v.alphabet and u.alphabet != v.alphabet:
         raise AlphabetMismatch(
             f"cannot concatenate words over arities {u.alphabet.d} and {v.alphabet.d}"
         )
@@ -162,6 +162,17 @@ def exponent_vector(w: Word) -> ExponentVector:
     return tuple(counts)
 
 
+def _cyclic_core(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """Reduced letters with the matched outer ones peeled: a cyclically
+    reduced conjugate, nonempty for nonempty letters (else the last two
+    would have cancelled)."""
+    i, j = 0, len(letters) - 1
+    while i < j and letters[i] == -letters[j]:
+        i += 1
+        j -= 1
+    return letters[i : j + 1]
+
+
 def cyclic_normalize(w: Word) -> Word:
     """Rotate w to a conjugate ending in an inverse-then-plain letter pair.
 
@@ -171,16 +182,9 @@ def cyclic_normalize(w: Word) -> Word:
     If the cyclic reduction carries letters of one sign only, no such
     pair exists and that conjugate is returned unrotated.
     """
-    letters = w.letters
-    if not letters:
+    if not w.letters:
         raise EmptyWord("cannot cyclically normalize the empty word")
-    i, j = 0, len(letters) - 1
-    while i < j and letters[i] == -letters[j]:
-        i += 1
-        j -= 1
-    # A nonempty freely reduced word never cyclically reduces to nothing:
-    # the final two letters would have had to cancel inside a reduced word.
-    core = letters[i : j + 1]
+    core = _cyclic_core(w.letters)
     # one byte per letter, 1 where the letter is positive, so that the
     # sign tests and the search for the pair run as bytes scans
     signs = bytes(map((0).__lt__, core))
@@ -229,6 +233,13 @@ def _plain_tokens(names: Mapping[str, int], d: int) -> dict[str, int]:
 
 
 @lru_cache(maxsize=32)
+def _cached_tokens(items: tuple, types: tuple, d: int) -> dict[str, int]:
+    """_plain_tokens of a name map's items.  The index types are part of
+    the key: 1, 1.0 and True are equal keys but not equal indices."""
+    return _plain_tokens(dict(items), d)
+
+
+@lru_cache(maxsize=32)
 def _default_tokens(d: int) -> tuple[dict[str, int], dict[str, int]]:
     """The canonical names (plus the d = 3 aliases) and their plain tokens."""
     names = {f"a{i}": i for i in range(1, d + 1)}
@@ -250,10 +261,17 @@ def parse_word(
     if names is None:
         table, tokens = _default_tokens(d)
     else:
-        table, tokens = names, _plain_tokens(names, d)
+        table = names
+        try:
+            tokens = _cached_tokens(
+                tuple(names.items()), tuple(map(type, names.values())), d
+            )
+        except TypeError:  # unhashable items: build the tokens afresh
+            tokens = _plain_tokens(names, d)
     parts = text.split()
-    letters = list(map(tokens.get, parts))
-    if None in letters:
+    try:
+        letters = list(map(tokens.__getitem__, parts))
+    except KeyError:
         return _reduced(alphabet, _read_tokens(parts, table, tokens, d))
     if len(letters) > MAX_WORD_LETTERS:
         raise MalformedToken(f"word exceeds the {MAX_WORD_LETTERS} letter cap")

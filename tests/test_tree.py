@@ -1,5 +1,6 @@
 import itertools
 import time
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,7 @@ from arbora.tree import (
     vertex_orbit,
     word_permutation,
     wreath,
+    _compose,
 )
 from arbora.words import Alphabet, Word, invert, parse_word
 
@@ -431,3 +433,40 @@ def test_act_vertex_copies_the_rest_past_an_empty_section(table, data):
     v = data.draw(vertices(d, 12))
     assert act_vertex(table, w, v) == direct_act(table, w.letters, v)
     assert act_vertex(table, w, list(v)) == direct_act(table, w.letters, v)
+
+
+@st.composite
+def random_tables(draw, arities=range(3, 10)):
+    """Random tables whose sections have at most two letters."""
+    d = draw(st.sampled_from(arities))
+    alphabet = Alphabet(d)
+    pool = [*range(1, d + 1), *range(-d, 0)]
+    sections = tuple(
+        tuple(
+            Word(alphabet, tuple(draw(st.lists(st.sampled_from(pool), max_size=2))))
+            for _ in range(d)
+        )
+        for _ in range(d)
+    )
+    perms = tuple(
+        Permutation(tuple(draw(st.permutations(range(1, d + 1))))) for _ in range(d)
+    )
+    names = tuple(f"a{i}" for i in alphabet.indices())
+    return RecursionTable(alphabet, names, sections, perms)
+
+
+@given(random_tables(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_pair_rows_compose_like_single_letters(table, data):
+    d = table.alphabet.d
+    letters = data.draw(table_words(table, max_len=15)).letters
+    # every prefix, so that lengths 0, 1, odd and even are all checked
+    for rows in table._rows:
+        for n in range(len(letters) + 1):
+            single = reduce(bytes.translate, [rows[l] for l in letters[:n]], rows[0])
+            assert _compose(rows, letters[:n]) == single
+    # and the deepest level's action is the fold's, vertex by vertex
+    k = len(table._rows)
+    level = list(itertools.product(range(1, d + 1), repeat=k))
+    images = level_permutation(table, Word(table.alphabet, letters), k)
+    assert _compose(table._rows[-1], letters)[: d**k] == bytes(map(level.index, images))

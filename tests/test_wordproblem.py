@@ -1,4 +1,5 @@
 import itertools
+import random
 import sys
 
 import pytest
@@ -180,6 +181,51 @@ def test_a_vertex_moved_on_the_checked_level_ends_the_search_at_node_1(table, da
             assert not dec.is_identity and dec.nodes_explored == 1
         if dec.is_identity:
             assert level_permutation(table, w, 4) == level4
+
+
+def long_conjugator(rng, table, w, n):
+    """A reduced word of n letters that cancels at neither seam of u' w u."""
+    d = table.alphabet.d
+    pool = [*range(1, d + 1), *range(-d, 0)]
+    u = [rng.choice([l for l in pool if l not in (w.letters[0], -w.letters[-1])])]
+    while len(u) < n:
+        u.append(rng.choice([l for l in pool if l != -u[-1]]))
+    return Word(table.alphabet, tuple(u))
+
+
+@given(st.sampled_from([T3, T4, T5]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_long_conjugate_gets_the_decision_of_its_core(table, data):
+    d = table.alphabet.d
+    w = data.draw(words(d, 10).filter(len))
+    n = data.draw(st.integers(1, 2000))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    conj = w.conjugated(long_conjugator(rng, table, w, n))
+    assert len(conj) == len(w) + 2 * n
+    dec = is_identity(table, conj)
+    assert dec == is_identity(table, w)
+    # node 1 answers nonidentity exactly when w moves a checked vertex
+    k = CHECKED_LEVEL[d]
+    moved = level_permutation(table, w, k) != tuple(
+        itertools.product(range(1, d + 1), repeat=k)
+    )
+    assert moved == (dec == Decision(False, 1, 1))
+
+
+def test_node_1_composes_the_core_and_not_the_conjugator(monkeypatch):
+    import arbora.wordproblem as wordproblem
+
+    core = commutator(w3("a"), w3("b"))
+    u = long_conjugator(random.Random(5), T3, core, 5000)
+    compose, lengths = wordproblem._compose, []
+
+    def recording(rows, letters):
+        lengths.append(len(letters))
+        return compose(rows, letters)
+
+    monkeypatch.setattr(wordproblem, "_compose", recording)
+    assert is_identity(T3, core.conjugated(u)) == Decision(False, 1, 1)
+    assert lengths == [len(core)]
 
 
 @given(words(3, 8), words(3, 6))

@@ -19,6 +19,7 @@ from arbora.words import (
     format_word,
     invert,
     parse_word,
+    _cached_tokens,
 )
 
 A3 = Alphabet(3)
@@ -312,6 +313,50 @@ def test_parse_matches_token_by_token_reference(tokens, d):
     assert outcome(parse_word, text, alphabet, README_NAMES) == outcome(
         parse_token_by_token, text, alphabet, README_NAMES
     )
+
+
+@pytest.mark.parametrize("at", [0, 2, 4], ids=["first", "middle", "last"])
+@pytest.mark.parametrize(
+    "token, expected",
+    [
+        ("e", ()),
+        ("b^2", (2, 2)),
+        ("a'^-3", (1, 1, 1)),
+        ("q", (UnknownGenerator, "unknown generator 'q' for arity 3")),
+        ("a^x", (MalformedToken, "bad repetition count in token {token!r}")),
+    ],
+)
+@pytest.mark.parametrize("names", [None, README_NAMES], ids=["default", "custom"])
+def test_parse_reads_a_general_token_anywhere(at, token, expected, names):
+    # the README names x y z stand for a b c
+    rename = str.maketrans("abc", "xyz") if names else {}
+    tokens = ["c", "b'", "c", "b'", "c"]
+    tokens[at] = token
+    text = " ".join(tokens).translate(rename)
+    if expected and isinstance(expected[0], type):
+        error, message = expected
+        with pytest.raises(error) as info:
+            parse_word(text, A3, names)
+        assert str(info.value) == message.format(token=token.translate(rename))
+    else:
+        letters = [3, -2, 3, -2, 3]
+        letters[at : at + 1] = expected
+        assert parse_word(text, A3, names) == Word(A3, tuple(letters))
+
+
+def test_custom_names_share_one_cached_token_table():
+    names = {"x": 1, "y": 2}
+    parse_word("x", A3, names)
+    hits = _cached_tokens.cache_info().hits
+    assert parse_word("x y'", A3, dict(names)).letters == (1, -2)
+    assert _cached_tokens.cache_info().hits == hits + 1
+    names["y"] = 3  # an edited map is read afresh
+    assert parse_word("x y'", A3, names).letters == (1, -3)
+    # 1.0 equals 1 but is no plain token's index, so it takes its own entry
+    parse_word("x", A3, {"x": 1})
+    assert type(parse_word("x", A3, {"x": 1.0}).letters[0]) is float
+    # unhashable items are read without the cache
+    assert parse_word("x y'", A3, {"x": 1, "y": 2, "z": [3]}).letters == (1, -2)
 
 
 def test_parse_validates_names_outside_the_alphabet():
