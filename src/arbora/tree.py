@@ -20,12 +20,11 @@ section, then advance the slot”.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import reduce
 from typing import Iterable, Sequence
 
 from .errors import AlphabetMismatch, BadVertex, LevelTooLarge, MalformedToken
-from .words import Alphabet, Word, _reduced, parse_word, format_word
+from .words import Alphabet, Word, _Value, _reduced, _set, parse_word, format_word
 
 Vertex = tuple[int, ...]
 
@@ -40,16 +39,16 @@ _MAX_DEGREE = 256
 _CHECK_VERTICES = 32
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_Value):
     """A bijection of {1..d}, stored as the tuple of images of 1..d."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self) -> None:
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a bijection of 1..{n}: {self.images}")
+    def __init__(self, images: tuple[int, ...]) -> None:
+        n = len(images)
+        if sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"not a bijection of 1..{n}: {images}")
+        _set(self, "images", images)
 
     @property
     def degree(self) -> int:
@@ -134,80 +133,82 @@ class Permutation:
         return cls.from_cycles(n, cycles)
 
 
-@dataclass(frozen=True)
-class WreathRecursion:
+class WreathRecursion(_Value):
     """First-level decomposition of a word: d section words and the root
     permutation.  All sections empty with identity permutation means the
     word is the identity element (and the converse holds element-wise)."""
 
-    sections: tuple[Word, ...]
-    perm: Permutation
+    __slots__ = ("sections", "perm")
+
+    def __init__(self, sections: tuple[Word, ...], perm: Permutation) -> None:
+        _set(self, "sections", sections)
+        _set(self, "perm", perm)
 
 
-@dataclass(frozen=True)
-class Portrait:
+class Portrait(_Value):
     """Finite-depth rendering: every node carries the permutation of its
     word; leaves also carry the residual section word (sections need not
     die out at any depth, so portraits stop at the requested depth)."""
 
-    perm: Permutation
-    children: tuple["Portrait", ...] = ()
-    residual: Word | None = None
+    __slots__ = ("perm", "children", "residual")
+
+    def __init__(self, perm: Permutation, children: tuple[Portrait, ...] = (),
+                 residual: Word | None = None) -> None:
+        _set(self, "perm", perm)
+        _set(self, "children", children)
+        _set(self, "residual", residual)
 
     @property
     def is_leaf(self) -> bool:
         return not self.children
 
 
-@dataclass(frozen=True)
-class RecursionTable:
+class RecursionTable(_Value):
     """Per-generator wreath recursions defining a self-similar action."""
 
-    alphabet: Alphabet
-    names: tuple[str, ...]
-    sections: tuple[tuple[Word, ...], ...]
-    perms: tuple[Permutation, ...]
-    # filled in __post_init__.  _steps[l][x] is (section letters of l at
-    # x, image of x), indexed by slot (entry 0 unused).  _rows[j - 1][l]
-    # is l's action on level j as a 256-byte bytes.translate table: the
-    # level's vertices are numbered 0.. in lexicographic order and larger
-    # bytes map to themselves; _rows[j - 1][-i] is the inverse letter's
-    # row and _rows[j - 1][0] the level's identity.  The levels run
-    # 1.._check_level(d).
-    _steps: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    _rows: tuple = field(init=False, repr=False, compare=False, default=())
+    # _steps and _rows are filled in __init__.  _steps[l][x] is (section
+    # letters of l at x, image of x), indexed by slot (entry 0 unused).
+    # _rows[j - 1][l] is l's action on level j as a 256-byte
+    # bytes.translate table: the level's vertices are numbered 0.. in
+    # lexicographic order and larger bytes map to themselves;
+    # _rows[j - 1][-i] is the inverse letter's row and _rows[j - 1][0] the
+    # level's identity.  The levels run 1.._check_level(d).
+    __slots__ = ("alphabet", "names", "sections", "perms", "_steps", "_rows")
 
-    def __post_init__(self) -> None:
-        d = self.alphabet.d
+    def __init__(self, alphabet: Alphabet, names: tuple[str, ...],
+                 sections: tuple[tuple[Word, ...], ...],
+                 perms: tuple[Permutation, ...]) -> None:
+        d = alphabet.d
         if d > _MAX_DEGREE:
             raise MalformedToken(
                 f"degree {d} exceeds {_MAX_DEGREE}: a level's vertex is a byte"
             )
-        if not (len(self.names) == len(self.sections) == len(self.perms) == d):
+        if not (len(names) == len(sections) == len(perms) == d):
             raise MalformedToken(f"table must have exactly {d} generator rows")
-        if len(set(self.names)) != d or "e" in self.names:
+        if len(set(names)) != d or "e" in names:
             raise MalformedToken("generator names must be unique and not 'e'")
-        for row in self.sections:
+        for row in sections:
             if len(row) != d:
                 raise MalformedToken(f"each generator needs {d} section words")
             for w in row:
-                if w.alphabet != self.alphabet:
+                if w.alphabet != alphabet:
                     raise MalformedToken("section word over a different alphabet")
-        for p in self.perms:
+        for p in perms:
             if p.degree != d:
                 raise MalformedToken(f"permutation degree {p.degree} != {d}")
         steps: dict[int, tuple] = {}
         for i in range(1, d + 1):
-            row = self.sections[i - 1]
-            images = (0,) + self.perms[i - 1].images
-            pre = (0,) + self.perms[i - 1].inverse().images
+            row = sections[i - 1]
+            images = (0,) + perms[i - 1].images
+            pre = (0,) + perms[i - 1].inverse().images
             steps[i] = ((), *((row[x - 1].letters, images[x]) for x in range(1, d + 1)))
             steps[-i] = ((), *(
                 (tuple(-l for l in reversed(row[pre[x] - 1].letters)), pre[x])
                 for x in range(1, d + 1)
             ))
-        object.__setattr__(self, "_steps", steps)
-        object.__setattr__(self, "_rows", _level_rows(steps, d))
+        values = (alphabet, names, sections, perms, steps, _level_rows(steps, d))
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
 
 
 def _check_level(d: int) -> int:

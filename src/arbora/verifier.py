@@ -46,7 +46,6 @@ run_all reports "skip" for every check it does not run at an arity.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded
 from .family import _aligner_factors, build_table, catalog, wrap
@@ -59,12 +58,7 @@ from .tree import (
     wreath,
 )
 from .wordproblem import are_equal, is_identity
-from .words import (
-    Word,
-    commutator,
-    exponent_vector,
-    invert,
-)
+from .words import Word, _Value, commutator, exponent_vector, invert
 
 CHECK_IDS = (
     "exponent_laws",
@@ -80,14 +74,20 @@ CHECK_IDS = (
 )
 
 
-@dataclass
-class Report:
-    """Outcome of one verifier check."""
+class Report(_Value):
+    """Outcome of one verifier check: the one mutable, unhashable value type."""
 
-    check_id: str
-    status: str  # "pass" | "fail" | "skip"
-    detail: str
-    data: dict = field(default_factory=dict)
+    __slots__ = ("check_id", "status", "detail", "data")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, check_id: str, status: str, detail: str,
+                 data: dict | None = None) -> None:
+        self.check_id = check_id
+        self.status = status  # "pass" | "fail" | "skip"
+        self.detail = detail
+        self.data = {} if data is None else data
 
     @property
     def ok(self) -> bool:

@@ -39,22 +39,23 @@ covers the built-in family.  On other tables the node budget (default
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NodeBudgetExceeded
 from .tree import RecursionTable, _check_alphabet, _compose, _fold_once
-from .words import Word, _cyclic_core, _reduced, concat, cyclic_normalize, invert
+from .words import Word, _Value, _cyclic_core, _reduced, _set
+from .words import concat, cyclic_normalize, invert
 
 DEFAULT_MAX_NODES = 10**7
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(_Value):
     """Outcome of one identity check plus search statistics."""
 
-    is_identity: bool
-    nodes_explored: int
-    max_depth: int
+    __slots__ = ("is_identity", "nodes_explored", "max_depth")
+
+    def __init__(self, is_identity: bool, nodes_explored: int, max_depth: int) -> None:
+        _set(self, "is_identity", is_identity)
+        _set(self, "nodes_explored", nodes_explored)
+        _set(self, "max_depth", max_depth)
 
     # Not a field: the benchmark's --trace output (bench/run.py) still
     # reads this counter and its tests require a number.  No shortcut is
@@ -63,18 +64,24 @@ class Decision:
     shortcut_hits = 0
 
 
-class OrderResult:
+class OrderResult(_Value):
     """Base class for order_probe outcomes."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Finite(OrderResult):
-    order: int
+    __slots__ = ("order",)
+
+    def __init__(self, order: int) -> None:
+        _set(self, "order", order)
 
 
-@dataclass(frozen=True)
 class UnknownBeyond(OrderResult):
-    bound: int
+    __slots__ = ("bound",)
+
+    def __init__(self, bound: int) -> None:
+        _set(self, "bound", bound)
 
 
 def is_identity(

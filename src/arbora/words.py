@@ -19,11 +19,10 @@ word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from operator import add
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     AlphabetMismatch,
@@ -41,16 +40,54 @@ MAX_WORD_LETTERS = 2**24
 
 ExponentVector = tuple[int, ...]
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Alphabet:
+
+class _Value:
+    """Base of the immutable value types: a subclass names its fields in
+    __slots__ (a leading underscore marks a cache, outside equality, hash
+    and repr) and sets them in __init__ with _set.  Values of one exact
+    type with equal fields are equal; copy and pickle call __init__."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(f for f in cls.__slots__ if not f.startswith("_"))
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class Alphabet(_Value):
     """The generating set {a_1, ..., a_d} of the degree-d group."""
 
-    d: int
+    __slots__ = ("d", "_letters")
 
-    def __post_init__(self) -> None:
-        if self.d < 3:
-            raise ArityTooSmall(f"arity must be at least 3, got {self.d}")
+    def __init__(self, d: int) -> None:
+        if d < 3:
+            raise ArityTooSmall(f"arity must be at least 3, got {d}")
+        _set(self, "d", d)
+        _set(self, "_letters", frozenset(range(-d, d + 1)) - {0})
 
     def indices(self) -> range:
         return range(1, self.d + 1)
@@ -70,21 +107,20 @@ def reduce_letters(raw: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Value):
     """A freely reduced word; the empty tuple is the identity element."""
 
-    alphabet: Alphabet
-    letters: tuple[int, ...] = ()
+    __slots__ = ("alphabet", "letters")
 
-    def __post_init__(self) -> None:
-        d = self.alphabet.d
-        for letter in self.letters:
-            if letter == 0 or abs(letter) > d:
-                raise UnknownGenerator(
-                    f"letter {letter} outside +-1..{d} of the alphabet"
-                )
-        object.__setattr__(self, "letters", reduce_letters(self.letters))
+    def __init__(self, alphabet: Alphabet, letters: Iterable[int] = ()) -> None:
+        letters = tuple(letters)
+        if not alphabet._letters.issuperset(letters):
+            # only a word that fails the set test is walked, to name a bad letter
+            d = alphabet.d
+            for bad in (l for l in letters if l == 0 or abs(l) > d):
+                raise UnknownGenerator(f"letter {bad} outside +-1..{d} of the alphabet")
+        _set(self, "alphabet", alphabet)
+        _set(self, "letters", reduce_letters(letters))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -127,8 +163,8 @@ def _reduced(alphabet: Alphabet, letters: tuple[int, ...]) -> Word:
     Internal: skips the public constructor's validation and reduction, so
     callers must only pass letters built from valid, reduced words."""
     w = object.__new__(Word)
-    object.__setattr__(w, "alphabet", alphabet)
-    object.__setattr__(w, "letters", letters)
+    _set(w, "alphabet", alphabet)
+    _set(w, "letters", letters)
     return w
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import arbora
-from arbora.cli import main
+from arbora.cli import _parser, build_parser, main
 from arbora.errors import BadVertex
 from arbora.family import build_table
 from arbora.tree import format_table, level_permutation, portrait
@@ -26,6 +26,25 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_main_reuses_one_parser(capsys):
+    # the parser is built once per process; repeated calls answer a usage
+    # error and --help as a freshly built parser does
+    fresh = build_parser()
+    with pytest.raises(SystemExit) as info:
+        fresh.parse_args(["identity", "--d"])
+    assert info.value.code == 2
+    usage = capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        fresh.parse_args(["--help"])
+    assert info.value.code == 0
+    help_text = capsys.readouterr().out
+    for _ in range(2):
+        assert run(capsys, "identity", "--d") == (2, "", usage)
+        assert run(capsys, "--help") == (0, help_text, "")
+        assert run(capsys, "identity", "--d", "3", "a a'")[0] == 0
+    assert _parser() is _parser()
 
 
 def test_identity_single_word(capsys):

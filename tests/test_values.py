@@ -1,0 +1,143 @@
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import arbora
+from arbora import (
+    Alphabet,
+    Decision,
+    Finite,
+    Permutation,
+    RecursionTable,
+    Report,
+    UnknownBeyond,
+    Word,
+    build_table,
+    catalog,
+    is_identity,
+    portrait,
+    wreath,
+)
+
+A3 = Alphabet(3)
+T3 = build_table(3)
+TABLE_TEXT = (
+    f"RecursionTable(alphabet={A3!r}, names={T3.names!r}, "
+    f"sections={T3.sections!r}, perms={T3.perms!r})"
+)
+
+# (build a value, its repr, one of its fields, a value of another type
+# with the same fields, which must compare unequal)
+VALUES = [
+    (lambda: Alphabet(3), "Alphabet(d=3)", "d", (3,)),
+    (
+        lambda: Word(A3, (1, 2)),
+        "Word(alphabet=Alphabet(d=3), letters=(1, 2))",
+        "letters",
+        (A3, (1, 2)),
+    ),
+    (
+        lambda: Permutation((2, 1, 3)),
+        "Permutation(images=(2, 1, 3))",
+        "images",
+        ((2, 1, 3),),
+    ),
+    (
+        lambda: wreath(T3, Word(A3, (1, 2))),
+        "WreathRecursion(sections=(Word(alphabet=Alphabet(d=3), letters=(1, 2)), "
+        "Word(alphabet=Alphabet(d=3), letters=(2,)), "
+        "Word(alphabet=Alphabet(d=3), letters=(3,))), "
+        "perm=Permutation(images=(3, 1, 2)))",
+        "perm",
+        None,
+    ),
+    (
+        lambda: portrait(T3, Word(A3, (1,)), 1),
+        "Portrait(perm=Permutation(images=(2, 1, 3)), children=("
+        "Portrait(perm=Permutation(images=(2, 1, 3)), children=(), "
+        "residual=Word(alphabet=Alphabet(d=3), letters=(1,))), "
+        "Portrait(perm=Permutation(images=(1, 3, 2)), children=(), "
+        "residual=Word(alphabet=Alphabet(d=3), letters=(2,))), "
+        "Portrait(perm=Permutation(images=(1, 2, 3)), children=(), "
+        "residual=Word(alphabet=Alphabet(d=3), letters=()))), residual=None)",
+        "children",
+        None,
+    ),
+    (lambda: build_table(3), TABLE_TEXT, "perms", None),
+    (
+        lambda: Decision(True, 1, 1),
+        "Decision(is_identity=True, nodes_explored=1, max_depth=1)",
+        "nodes_explored",
+        (True, 1, 1),
+    ),
+    (lambda: Finite(3), "Finite(order=3)", "order", UnknownBeyond(3)),
+    (lambda: UnknownBeyond(3), "UnknownBeyond(bound=3)", "bound", Finite(3)),
+]
+
+
+@pytest.mark.parametrize(
+    "make, text, field, stranger", VALUES, ids=[row[1].split("(")[0] for row in VALUES]
+)
+def test_value_types_are_immutable_values(make, text, field, stranger):
+    value, twin = make(), make()
+    assert value is not twin
+    assert value == twin and hash(value) == hash(twin)
+    assert value != stranger
+    assert repr(value) == text
+    # keyword construction from the repr gives the value back
+    assert eval(text, dict(vars(arbora))) == value
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(twin, field))
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(clone) is type(value) and clone == value
+
+
+def test_copied_tables_rebuild_their_rows():
+    xi = catalog(3)["xi_1"]
+    for table in (copy.deepcopy(T3), pickle.loads(pickle.dumps(T3))):
+        assert table._rows == T3._rows
+        assert is_identity(table, xi**3).is_identity
+        assert not is_identity(table, xi).is_identity
+    # the caches take no part in equality
+    rebuilt = RecursionTable(A3, T3.names, T3.sections, T3.perms)
+    assert rebuilt == T3 and hash(rebuilt) == hash(T3)
+
+
+def test_reports_stay_mutable_records():
+    report = Report("x", "pass", "fine")
+    assert report.data == {} and report.data is not Report("x", "pass", "fine").data
+    assert repr(report) == "Report(check_id='x', status='pass', detail='fine', data={})"
+    report.status = "fail"
+    assert report == Report("x", "fail", "fine", {})
+    with pytest.raises(TypeError):
+        hash(report)
+    assert pickle.loads(pickle.dumps(report)) == report
+
+
+def test_importing_arbora_loads_no_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize: about a quarter
+    # of what importing arbora cost with them
+    script = (
+        "import sys\n"
+        "import arbora\n"
+        "first = {'dataclasses', 'inspect'} & set(sys.modules)\n"
+        "import arbora.cli\n"
+        "print(sorted(first), sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    src = str(Path(arbora.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] []\n"

@@ -1,11 +1,16 @@
-import dataclasses
 import itertools
 
 import pytest
 
 from arbora.errors import BudgetExceeded
 from arbora.family import _aligner_factors, build_table
-from arbora.tree import Permutation, level_permutation, load_table, wreath
+from arbora.tree import (
+    Permutation,
+    RecursionTable,
+    level_permutation,
+    load_table,
+    wreath,
+)
 from arbora.verifier import (
     CHECK_IDS,
     Report,
@@ -130,12 +135,12 @@ def single_cell_mutations(table):
                 if letters != row[x].letters:
                     new_row = (*row[:x], Word(A, letters), *row[x + 1:])
                     sections = (*table.sections[:g], new_row, *table.sections[g + 1:])
-                    yield dataclasses.replace(table, sections=sections)
+                    yield RecursionTable(A, table.names, sections, table.perms)
     for g, perm in enumerate(table.perms):
         for images in itertools.permutations(A.indices()):
             if images != perm.images:
                 perms = (*table.perms[:g], Permutation(images), *table.perms[g + 1:])
-                yield dataclasses.replace(table, perms=perms)
+                yield RecursionTable(A, table.names, table.sections, perms)
 
 
 def breaks_count_laws(table, w):

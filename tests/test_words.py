@@ -50,6 +50,17 @@ def test_word_rejects_foreign_letters():
         Word(A3, (4,))
     with pytest.raises(UnknownGenerator):
         Word(A3, (0,))
+    # the first bad letter is named
+    for letters, bad in (((1, 0), 0), ((2, -9, 7), -9)):
+        with pytest.raises(UnknownGenerator) as info:
+            Word(A3, letters)
+        assert str(info.value) == f"letter {bad} outside +-1..3 of the alphabet"
+
+
+def test_word_takes_any_iterable_of_letters():
+    assert Word(A3, (l for l in (1, 2))).letters == (1, 2)
+    assert Word(A3, iter([1, -1, 3])).letters == (3,)
+    assert Word(A3, [-3, 2]) == Word(A3, (-3, 2))
 
 
 def test_invert_and_concat():
