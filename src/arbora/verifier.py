@@ -18,13 +18,15 @@ that w fixes level one and has the given section at one slot.  Each
 kind of row is checked by one shared routine.
 
 Both kinds of row compare the freely reduced section with the expected
-word letter for letter.  That is what a closed form states, and it
-implies equality as group elements, so no row asks the word-problem
-search.  The other group identities are folds too: two distant
-generators commute because their root permutations and sections agree,
-a balancer row shows the balancer rooted, which fixes its order and at
-arity 3 makes the three balancers one element, and the arity-4 trivial
-word is a row with trivial sections.
+word letter for letter, as tuples; only on a mismatch is the expected
+word built and reduced, so an unreduced expectation still matches.
+That is what a closed form states, and it implies equality as group
+elements, so no row asks the word-problem search.  The other group
+identities are folds too: two distant generators commute because their
+root permutations and sections agree, a balancer row shows the balancer
+rooted, which fixes its order and at arity 3 makes the three balancers
+one element, and the arity-4 trivial word is a row with trivial
+sections.
 
 Only free_semigroup runs the search, and only where level actions
 cannot answer.  It composes the generators' level-3 actions along each
@@ -32,10 +34,13 @@ positive word, buckets the words by level-2 action and counts every
 pair in a bucket as one equality check.  A word that moves a level-2
 vertex is nontrivial and words with different level-3 actions differ,
 so the search is asked only about words with trivial level-2 action
-and about pairs whose level-3 actions agree.  The "nontrivial" half
-cannot fail while is_identity answers nonidentity for every one-signed
-word; it is there for a search without that rule, which finds trivial
-squares such as a a on a table with a = (a, a, e) (1 2).
+and about pairs whose level-3 actions agree.  Such a pair u = p x s,
+v = p y s (s the longest common suffix, p the longest common prefix of
+the rest) asks only whether x = y, once per distinct (x, y): u v' is
+conjugate to x y', the core the search starts from.  The "nontrivial"
+half cannot fail while is_identity answers nonidentity for every
+one-signed word; it is there for a search without that rule, which
+finds trivial squares such as a a on a table with a = (a, a, e) (1 2).
 
 Checks return Report records instead of raising on mathematical
 failure, so a batch run can show exactly which identity broke.  Checks
@@ -132,11 +137,14 @@ def _expect_wreath_rows(table: RecursionTable, rows, problems: list[str]) -> Non
     word with those letters; every unlisted slot must be trivial."""
     for w, perm, slots, label in rows:
         wr = wreath(table, w)
-        if wr.perm != perm:
+        if wr.perm.images != perm.images:
             problems.append(f"{label}: permutation {wr.perm} != expected {perm}")
             continue
         for x, sec in enumerate(wr.sections, start=1):
-            expected = Word(table.alphabet, slots.get(x, ()))
+            letters = slots.get(x, ())
+            if sec.letters == letters:
+                continue
+            expected = Word(table.alphabet, letters)
             if sec != expected:
                 problems.append(f"{label}: section at {x} is {sec} != {expected}")
                 break
@@ -151,7 +159,8 @@ def _expect_hand_backs(table: RecursionTable, rows, problems: list[str]) -> None
             problems.append(f"{label}: does not stabilize level one")
             continue
         sec = wr.sections[x - 1]
-        if sec != Word(table.alphabet, letters):
+        letters = tuple(letters)
+        if sec.letters != letters and sec != Word(table.alphabet, letters):
             problems.append(f"{label}: section at {x} is {sec}")
 
 
@@ -386,13 +395,17 @@ def check_branch_witnesses(table: RecursionTable) -> Report:
     cat = catalog(d)
     problems: list[str] = []
 
+    def fold(w: Word) -> tuple:
+        wr = wreath(table, w)
+        return wr.perm.images, [sec.letters for sec in wr.sections]
+
     if d >= 5:
         for i in range(1, d + 1):
             for j in range(i + 1, d + 1):
                 gap = min((i - j) % d, (j - i) % d)
                 if gap in (1, d - 1):
                     continue
-                if wreath(table, Word(A, (i, j))) != wreath(table, Word(A, (j, i))):
+                if fold(Word(A, (i, j))) != fold(Word(A, (j, i))):
                     problems.append(f"distant generators {i},{j} do not commute")
 
     def pair_perm(j: int) -> Permutation:
@@ -524,9 +537,25 @@ def check_free_semigroup(table: RecursionTable, max_len: int) -> Report:
                 if length < max_len:
                     layer.append((letters, img))
         prefixes = layer
+    # u = p x s, v = p y s (s the longest common suffix, p the longest
+    # common prefix of the rest): the search on u v' = p x y' p' starts
+    # from its cyclic core x y', so each distinct (x, y) is asked once
+    verdicts: dict = {}
     for bucket in buckets.values():
         for (u, cu), (v, cv) in itertools.combinations(bucket, 2):
-            if cu == cv and are_equal(table, Word(A, u), Word(A, v)):
+            if cu != cv:
+                continue
+            k = min(len(u), len(v))
+            s = 0
+            while s < k and u[-1 - s] == v[-1 - s]:
+                s += 1
+            p = 0
+            while p < k - s and u[p] == v[p]:
+                p += 1
+            key = (u[p:len(u) - s], v[p:len(v) - s])
+            if key not in verdicts:
+                verdicts[key] = are_equal(table, Word(A, key[0]), Word(A, key[1]))
+            if verdicts[key]:
                 coincide.append((u, v))
     problems = [f"positive word {Word(A, w)} is trivial" for w in trivial[:_SHOWN]]
     problems += [f"positive words {Word(A, u)} and {Word(A, v)} coincide"

@@ -114,11 +114,17 @@ class Word(_Value):
 
     def __init__(self, alphabet: Alphabet, letters: Iterable[int] = ()) -> None:
         letters = tuple(letters)
-        if not alphabet._letters.issuperset(letters):
-            # only a word that fails the set test is walked, to name a bad letter
+        # 1.0 and True hash and compare like 1, so the types are tested too,
+        # first, so that an unhashable letter is named rather than hashed
+        if not ({*map(type, letters)} <= {int}
+                and alphabet._letters.issuperset(letters)):
+            # only a word that fails the set tests is walked, to name a bad letter
             d = alphabet.d
-            for bad in (l for l in letters if l == 0 or abs(l) > d):
-                raise UnknownGenerator(f"letter {bad} outside +-1..{d} of the alphabet")
+            for bad in letters:
+                if type(bad) is not int or bad == 0 or abs(bad) > d:
+                    raise UnknownGenerator(
+                        f"letter {bad!r} outside +-1..{d} of the alphabet"
+                    )
         _set(self, "alphabet", alphabet)
         _set(self, "letters", reduce_letters(letters))
 

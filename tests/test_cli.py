@@ -181,12 +181,15 @@ def test_free_semigroup_command(capsys):
 def test_pair_budget_stops_the_sweep_early():
     # the candidate pairs pass the budget among the length-10 words, so
     # the length-11 words are never made; enumerating all 265,719 words up
-    # to length 11 before counting held about 100 MB
+    # to length 11 before counting held about 100 MB.  The child reads its
+    # own peak from VmHWM: Linux carries ru_maxrss across execve, so that
+    # would include the peak of the test process that starts the child
     script = (
-        "import resource, sys\n"
+        "import sys\n"
         "from arbora.cli import main\n"
         "code = main(['free-semigroup', '--d', '3', '--max-len', '11'])\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "with open('/proc/self/status') as f:\n"
+        "    print(next(l.split()[1] for l in f if l.startswith('VmHWM:')))\n"
         "sys.exit(code)\n"
     )
     src = str(Path(arbora.__file__).resolve().parent.parent)
@@ -199,7 +202,7 @@ def test_pair_budget_stops_the_sweep_early():
     )
     assert proc.returncode == 2
     assert proc.stderr == "error: more than 1000000 equality checks needed\n"
-    assert int(proc.stdout) < 60 * 1024  # ru_maxrss is in KiB on Linux
+    assert int(proc.stdout) < 60 * 1024  # VmHWM is in kB
 
 
 def test_verify_paper_tsv(capsys):

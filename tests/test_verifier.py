@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from arbora.errors import BudgetExceeded
-from arbora.family import _aligner_factors, build_table
+from arbora.family import _aligner_factors, build_table, catalog
 from arbora.tree import (
     Permutation,
     RecursionTable,
@@ -14,6 +14,8 @@ from arbora.tree import (
 from arbora.verifier import (
     CHECK_IDS,
     Report,
+    _expect_hand_backs,
+    _expect_wreath_rows,
     check_branch_witnesses,
     check_exponent_laws,
     check_free_semigroup,
@@ -291,6 +293,38 @@ def test_aligner_rows_follow_the_catalog_factor_order(monkeypatch):
     assert rep.status == "fail" and "aligner 1: permutation" in rep.detail
 
 
+def test_rows_read_expected_letters_as_a_word():
+    # a row compares letter tuples first and builds the expected word only
+    # on a mismatch, so an unreduced or range slot still passes and a
+    # wrong slot is reported with the reduced section and expected word
+    table = build_table(3)
+    A = table.alphabet
+    s1 = catalog(3)["s_1"]  # fixes level one, section b at vertex 1
+    square = Word(A, (1, 1))  # sections a b, b a, e
+    ident = Permutation.identity(3)
+    problems = []
+    _expect_hand_backs(
+        table, [(s1, 1, (1, -1, 2), "unreduced"), (s1, 1, range(2, 3), "range")],
+        problems,
+    )
+    _expect_wreath_rows(
+        table, [(square, ident, {1: (1, 3, -3, 2), 2: (2, 1)}, "square")], problems
+    )
+    assert problems == []
+    _expect_hand_backs(table, [(s1, 1, (3, -1, 1), "wrong")], problems)
+    _expect_wreath_rows(
+        table,
+        [(square, ident, {1: (1, 2), 2: (2, -3, 3, 1, 1)}, "long slot"),
+         (square, ident, {1: (1, 2)}, "missing slot")],
+        problems,
+    )
+    assert problems == [
+        "wrong: section at 1 is b",
+        "long slot: section at 2 is b a != b a a",
+        "missing slot: section at 2 is b a != e",
+    ]
+
+
 def test_closed_forms_never_decide_the_word_problem(monkeypatch):
     # a closed form states a section word, so its check compares letters;
     # it must not be decided by the search whose soundness it supports.
@@ -373,10 +407,10 @@ def test_free_semigroup_matches_the_brute_force_sweep():
     # "nontrivial" or "distinct"; the report is the brute force's, on the
     # family (arity 7 composes arrays rather than bytes) and on every
     # single-cell mutation of the arity-3 table
-    family = ((3, 5), (4, 4), (5, 3), (7, 2))
+    family = ((3, 5), (4, 4), (4, 5), (5, 3), (7, 2))
     cases = [(build_table(d), max_len) for d, max_len in family]
     cases += [(t, 4) for t in single_cell_mutations(build_table(3))]
-    assert len(cases) == 4 + 204
+    assert len(cases) == 5 + 204
     for table, max_len in cases:
         rep = check_free_semigroup(table, max_len)
         assert (rep.status, rep.detail, rep.data) == brute_force_free_semigroup(
@@ -397,7 +431,7 @@ def test_free_semigroup_asks_the_search_only_where_levels_agree(monkeypatch):
 
     for name, real in (("is_identity", is_identity), ("are_equal", are_equal)):
         monkeypatch.setattr(f"arbora.verifier.{name}", counted(name, real))
-    for d, max_len, expected in ((3, 5, (0, 0)), (3, 6, (21, 3)), (4, 5, (0, 1108))):
+    for d, max_len, expected in ((3, 5, (0, 0)), (3, 6, (21, 3)), (4, 5, (0, 116))):
         calls.update(is_identity=0, are_equal=0)
         check_free_semigroup(build_table(d), max_len)
         assert (calls["is_identity"], calls["are_equal"]) == expected

@@ -57,6 +57,16 @@ def test_word_rejects_foreign_letters():
         assert str(info.value) == f"letter {bad} outside +-1..3 of the alphabet"
 
 
+def test_word_rejects_letters_that_are_not_integers():
+    # 1.0 and True equal the letter 1 and pass a set test; "1" has no abs
+    # and [1] no hash
+    for letters, shown in (((1.5,), "1.5"), ((1.0, 2), "1.0"), (("1",), "'1'"),
+                           ((2, True), "True"), ((3, [1]), "[1]")):
+        with pytest.raises(UnknownGenerator) as info:
+            Word(A3, letters)
+        assert str(info.value) == f"letter {shown} outside +-1..3 of the alphabet"
+
+
 def test_word_takes_any_iterable_of_letters():
     assert Word(A3, (l for l in (1, 2))).letters == (1, 2)
     assert Word(A3, iter([1, -1, 3])).letters == (3,)
