@@ -84,11 +84,10 @@ def _fmt(table: RecursionTable, w: Word) -> str:
     return format_word(w, names)
 
 
-def _max_nodes(args) -> int | None:
-    flag = getattr(args, "max_nodes", None)
-    if flag is not None and flag < 1:
-        raise ArboraError(f"--max-nodes must be positive, got {flag}")
-    return flag
+def _positive(option: str, value: int | None) -> int | None:
+    if value is not None and value < 1:
+        raise ArboraError(f"{option} must be positive, got {value}")
+    return value
 
 
 def _iter_words(args, table: RecursionTable):
@@ -108,7 +107,7 @@ def cmd_eval(args) -> int:
     table = _resolve_table(args)
     w = _parse(table, args.word)
     v = parse_vertex(args.vertex, table.alphabet.d)
-    print(format_vertex(act_vertex(table, w, v)))
+    print(format_vertex(act_vertex(table, w, v), table.alphabet.d))
     return 0
 
 
@@ -122,7 +121,7 @@ def cmd_section(args) -> int:
 
 def cmd_identity(args) -> int:
     table = _resolve_table(args)
-    budget = _max_nodes(args)
+    budget = _positive("--max-nodes", args.max_nodes)
     batch = bool(getattr(args, "words_file", None))
     for w in _iter_words(args, table):
         decision = is_identity(table, w, budget)
@@ -146,7 +145,8 @@ def cmd_expsum(args) -> int:
 def cmd_order_probe(args) -> int:
     table = _resolve_table(args)
     w = _parse(table, args.word)
-    result = order_probe(table, w, args.max_power, max_nodes=_max_nodes(args))
+    result = order_probe(table, w, _positive("--max-power", args.max_power),
+                         max_nodes=_positive("--max-nodes", args.max_nodes))
     if isinstance(result, Finite):
         print(f"finite {result.order}")
     else:
@@ -182,7 +182,8 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_free_semigroup(args) -> int:
-    report = check_free_semigroup(build_table(_family_arity(args.d)), args.max_len)
+    table = build_table(_family_arity(args.d))
+    report = check_free_semigroup(table, _positive("--max-len", args.max_len))
     status = "PASS" if report.ok else "FAIL"
     print(
         f"words={report.data.get('words', 0)} "
@@ -219,13 +220,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="image of a vertex under a word")
     _add_table_options(p)
     p.add_argument("word")
-    p.add_argument("vertex", help="digit string, empty for the root")
+    p.add_argument("vertex", help="digits (dotted at degree 10+), empty for the root")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("section", help="section of a word at a vertex")
     _add_table_options(p)
     p.add_argument("word")
-    p.add_argument("vertex", help="digit string, empty for the root")
+    p.add_argument("vertex", help="digits (dotted at degree 10+), empty for the root")
     p.set_defaults(func=cmd_section)
 
     p = sub.add_parser("identity", help="decide whether a word acts trivially")

@@ -1,9 +1,9 @@
 """Actions of words on the d-regular rooted tree.
 
 A recursion table assigns every generator a d-tuple of section words and
-a permutation of {1..d}; everything else (vertex images, sections of
-arbitrary words, level permutations, finite portraits) is computed by
-folding letters through that data.
+a permutation of {1..d}.  Vertex images, sections and portraits are
+computed by folding letters through that data; a word's action on a whole
+level (level_permutation, vertex_orbit) composes the table's level rows.
 
 Composition convention: words act letter by letter, FIRST letter FIRST.
 Consequently ``(uv)(x) = v(u(x))`` and permutation products compose left
@@ -20,7 +20,9 @@ section, then advance the slot”.
 from __future__ import annotations
 
 import re
-from functools import reduce
+from functools import cache, reduce
+from itertools import product
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import AlphabetMismatch, BadVertex, LevelTooLarge, MalformedToken
@@ -30,8 +32,8 @@ Vertex = tuple[int, ...]
 
 DEFAULT_VERTEX_CAP = 10**6
 
-# a level's vertices are numbered by single bytes, so that a word's action
-# on a level is composed by bytes.translate
+# level 1, which every table keeps, numbers its vertices by bytes, so that
+# a word's action there is composed by bytes.translate
 _MAX_DEGREE = 256
 # The identity search tests each node on the deepest level with at most
 # this many vertices: a translate costs about 100 ns up to 27 bytes and
@@ -168,11 +170,11 @@ class RecursionTable(_Value):
 
     # _steps and _rows are filled in __init__.  _steps[l][x] is (section
     # letters of l at x, image of x), indexed by slot (entry 0 unused).
-    # _rows[j - 1][l] is l's action on level j as a 256-byte
-    # bytes.translate table: the level's vertices are numbered 0.. in
-    # lexicographic order and larger bytes map to themselves;
-    # _rows[j - 1][-i] is the inverse letter's row and _rows[j - 1][0] the
-    # level's identity.  The levels run 1.._check_level(d).
+    # _rows[j - 1] is level j's _LevelRows, made by _rows_of: the level's
+    # vertices are numbered 0.. in lexicographic order, [l] is letter l's
+    # row, [-i] the inverse letter's and [0] the identity.  The table keeps
+    # the levels with at most _CHECK_VERTICES vertices, and level 1;
+    # _level builds any deeper one.
     __slots__ = ("alphabet", "names", "sections", "perms", "_steps", "_rows")
 
     def __init__(self, alphabet: Alphabet, names: tuple[str, ...],
@@ -206,51 +208,80 @@ class RecursionTable(_Value):
                 (tuple(-l for l in reversed(row[pre[x] - 1].letters)), pre[x])
                 for x in range(1, d + 1)
             ))
-        values = (alphabet, names, sections, perms, steps, _level_rows(steps, d))
+        # kept: level 1 and each next one with at most _CHECK_VERTICES vertices
+        rows = [_rows_of([[y - 1 for _, y in steps[i][1:]] for i in range(1, d + 1)])]
+        while d ** (len(rows) + 1) <= _CHECK_VERTICES:
+            rows.append(_next_level(steps, rows[-1], d))
+        values = (alphabet, names, sections, perms, steps, tuple(rows))
         for name, value in zip(self.__slots__, values):
             _set(self, name, value)
 
 
-def _check_level(d: int) -> int:
-    """The deepest level with at most _CHECK_VERTICES vertices, at least 1."""
-    k = 1
-    while d ** (k + 1) <= _CHECK_VERTICES:
-        k += 1
-    return k
+def _next_level(steps: dict, above: "_LevelRows", d: int) -> "_LevelRows":
+    """Every letter's action on the level under the one of `above`.
+
+    A generator maps the vertex x v to l(x) l|_x(v), so its row is, slot
+    by slot, the action of its section on the level above shifted into
+    the block of its image; an inverse row is the inverse permutation."""
+    m = len(above[0])  # vertices below each first-level slot
+    # section letters -> their action on the level above
+    sections = {sec: above[0] for i in range(1, d + 1) for sec, _ in steps[i][1:]}
+    for sec in sections:
+        for l in sec:
+            sections[sec] = sections[sec].translate(above[l])
+    return _rows_of([[(y - 1) * m + v for sec, y in steps[i][1:] for v in sections[sec]]
+                     for i in range(1, d + 1)])
 
 
-def _level_rows(steps: dict, d: int) -> tuple["_LevelRows", ...]:
-    """Every letter's action on the levels 1.._check_level(d).
-
-    A generator maps the vertex x v to l(x) l|_x(v), so its row on level j
-    is, slot by slot, the level-(j-1) action of its section shifted into
-    the block of its image; an inverse row is the inverse permutation.
-    Entry 0 of each level is its identity."""
-    levels: list[tuple[bytes, ...]] = []
-    # each generator's images on the level being built
-    actions = [bytes(y - 1 for _, y in steps[i][1:]) for i in range(1, d + 1)]
-    m = 1  # vertices below each first-level slot on that level
-    for _ in range(_check_level(d)):
-        if levels:
-            below, m = levels[-1], m * d
-            shift = [bytes.maketrans(below[0], bytes(range(k * m, k * m + m)))
-                     for k in range(d)]
-            sections: dict = {}  # section letters -> their action on the level below
-            actions = []
-            for i in range(1, d + 1):
-                parts = []
-                for sec, y in steps[i][1:]:
-                    if sec not in sections:
-                        sections[sec] = _compose(below, sec)
-                    parts.append(sections[sec].translate(shift[y - 1]))
-                actions.append(b"".join(parts))
-        ident = bytes(range(m * d))
+def _rows_of(actions: list) -> "_LevelRows":
+    """A level's rows from its generators' actions (vertex images): up to
+    256 vertices, as many as a byte numbers, 256-byte bytes.translate
+    tables whose larger bytes map to themselves, past that _array_row()s.
+    Entry 0 is the identity action, which composes by .translate too."""
+    n = len(actions[0])
+    if n <= 256:
+        ident = bytes(range(n))
         rows = _LevelRows({0: ident})
-        for i, action in enumerate(actions, start=1):
+        for i, action in enumerate(map(bytes, actions), start=1):
             rows[i] = bytes.maketrans(ident, action)
             rows[-i] = bytes.maketrans(action, ident)
-        levels.append(rows)
-    return tuple(levels)
+        return rows
+    row = _array_row()
+    rows = _LevelRows({0: row("I", range(n))})
+    for i, action in enumerate(actions, start=1):
+        rows[i] = row("I", action)
+        rows[-i] = inverse = row("I", action)
+        for v, y in enumerate(action):
+            inverse[y] = v
+    return rows
+
+
+@cache
+def _array_row() -> type:
+    """The row type of levels with more than 256 vertices, made on first
+    use: importing array adds about 1 ms to a process that needs none."""
+    from array import array
+
+    class _ArrayRow(array):
+        """Every vertex's image on a level past 256 vertices."""
+
+        __slots__ = ()
+
+        def translate(self, row: "_ArrayRow") -> "_ArrayRow":
+            """This action, then row's, as bytes.translate composes."""
+            return _ArrayRow("I", itemgetter(*self)(row))
+
+    return _ArrayRow
+
+
+def _level(table: "RecursionTable", k: int) -> "_LevelRows":
+    """Every letter's action on level k >= 1: the table's own rows on the
+    levels it keeps, and below those, rows built for this call alone."""
+    _check_level_size(table.alphabet.d, k)
+    rows = table._rows[min(k, len(table._rows)) - 1]
+    for _ in range(len(table._rows), k):
+        rows = _next_level(table._steps, rows, table.alphabet.d)
+    return rows
 
 
 class _LevelRows(dict):
@@ -264,7 +295,7 @@ class _LevelRows(dict):
 
 
 def _compose(rows: _LevelRows, letters: Sequence[int]) -> bytes:
-    """The letters' action on one level, one translate per letter pair."""
+    """The letters' action on a level of byte rows, a translate per pair."""
     it = iter(letters)
     action = reduce(bytes.translate, map(rows.__getitem__, zip(it, it)), rows[0])
     return action.translate(rows[letters[-1]]) if len(letters) & 1 else action
@@ -281,17 +312,20 @@ def check_vertex(v: Sequence[int], d: int) -> None:
 
 
 def parse_vertex(text: str, d: int) -> Vertex:
-    """Digit string over 1..d; the empty string is the root."""
+    """Digit string over 1..d (entries separated by "." at d >= 10); the
+    empty string is the root."""
+    text, sep = text.strip(), "." if d >= 10 else ""
     out = []
-    for ch in text.strip():
-        if not ch.isdigit() or not 1 <= int(ch) <= d:
-            raise BadVertex(f"vertex digit {ch!r} outside 1..{d}")
-        out.append(int(ch))
+    for entry in text.split(sep) if sep and text else text:
+        if not entry.isdecimal() or not 1 <= int(entry) <= d:
+            kind = "entry" if sep else "digit"
+            raise BadVertex(f"vertex {kind} {entry!r} outside 1..{d}")
+        out.append(int(entry))
     return tuple(out)
 
 
-def format_vertex(v: Vertex) -> str:
-    return "".join(str(x) for x in v)
+def format_vertex(v: Vertex, d: int) -> str:
+    return ("." if d >= 10 else "").join(map(str, v))
 
 
 # ---------------------------------------------------------------------------
@@ -381,22 +415,24 @@ def _check_level_size(d: int, k: int) -> None:
 
 
 def level_permutation(table: RecursionTable, w: Word, k: int) -> tuple[Vertex, ...]:
-    """Images of every level-k vertex in lexicographic order."""
+    """Images of every level-k vertex in lexicographic order.
+
+    With j the deepest level the table keeps, or k if that is less, the
+    word is folded k - j levels down, and each section's action on level
+    j is composed from the table's rows."""
     _check_alphabet(table, w)
     d = table.alphabet.d
     _check_level_size(d, k)
-    out: list[Vertex] = []
-
-    def walk(letters: tuple[int, ...], depth: int, image: Vertex) -> None:
-        if depth == k:
-            out.append(image)
-            return
-        for x in range(1, d + 1):
-            sec, img = _fold_once(table, letters, x)
-            walk(sec, depth + 1, image + (img,))
-
-    walk(w.letters, 0, ())
-    return tuple(out)
+    j = min(k, len(table._rows))
+    if not j:
+        return ((),)
+    nodes = [((), w.letters)]  # (image of a vertex, section there), in order
+    for _ in range(k - j):
+        folds = [(image, _fold_once(table, letters, x))
+                 for image, letters in nodes for x in range(1, d + 1)]
+        nodes = [(image + (y,), sec) for image, (sec, y) in folds]
+    rows, tail = table._rows[j - 1], list(product(range(1, d + 1), repeat=j))
+    return tuple(image + tail[y] for image, sec in nodes for y in _compose(rows, sec))
 
 
 def portrait(table: RecursionTable, w: Word, depth: int) -> Portrait:
@@ -432,24 +468,23 @@ def format_portrait(p: Portrait, names: tuple[str, ...] | None = None) -> str:
 
 
 def vertex_orbit(table: RecursionTable, v: Vertex) -> set[Vertex]:
-    """Closure of {v} under the generators (BFS).  A level is finite, so a
-    set closed under a permutation is closed under its inverse too."""
+    """Closure of {v} under the generators, searched over vertex numbers
+    with one row lookup per generator.  A level is finite, so a set
+    closed under a permutation is closed under its inverse too."""
     d = table.alphabet.d
     _check_level_size(d, len(v))
     check_vertex(v, d)
-    moves = [Word(table.alphabet, (i,)) for i in range(1, d + 1)]
-    seen = {v}
-    frontier = [v]
+    if not v:
+        return {v}
+    rows = _level(table, len(v))
+    moves = [rows[i] for i in range(1, d + 1)]
+    level = list(product(range(1, d + 1), repeat=len(v)))
+    frontier = {level.index(tuple(v))}
+    seen = set(frontier)
     while frontier:
-        nxt = []
-        for u in frontier:
-            for m in moves:
-                image = act_vertex(table, m, u)
-                if image not in seen:
-                    seen.add(image)
-                    nxt.append(image)
-        frontier = nxt
-    return seen
+        frontier = {row[u] for row in moves for u in frontier} - seen
+        seen |= frontier
+    return {level[u] for u in seen}
 
 
 # ---------------------------------------------------------------------------

@@ -28,19 +28,12 @@ rooted, which fixes its order and at arity 3 makes the three balancers
 one element, and the arity-4 trivial word is a row with trivial
 sections.
 
-Only free_semigroup runs the search, and only where level actions
-cannot answer.  It composes the generators' level-3 actions along each
-positive word, buckets the words by level-2 action and counts every
-pair in a bucket as one equality check.  A word that moves a level-2
-vertex is nontrivial and words with different level-3 actions differ,
-so the search is asked only about words with trivial level-2 action
-and about pairs whose level-3 actions agree.  Such a pair u = p x s,
-v = p y s (s the longest common suffix, p the longest common prefix of
-the rest) asks only whether x = y, once per distinct (x, y): u v' is
-conjugate to x y', the core the search starts from.  The "nontrivial"
-half cannot fail while is_identity answers nonidentity for every
-one-signed word; it is there for a search without that rule, which
-finds trivial squares such as a a on a table with a = (a, a, e) (1 2).
+Only free_semigroup runs the search, and only where the words' level-2
+and level-3 actions, composed from the table's level rows, cannot
+answer.  Its "nontrivial" half cannot fail while is_identity answers
+nonidentity for every one-signed word; it is there for a search without
+that rule, which finds trivial squares such as a a on a table with
+a = (a, a, e) (1 2).
 
 Checks return Report records instead of raising on mathematical
 failure, so a batch run can show exactly which identity broke.  Checks
@@ -57,7 +50,7 @@ from .family import _aligner_factors, build_table, catalog, wrap
 from .tree import (
     Permutation,
     RecursionTable,
-    level_permutation,
+    _level,
     vertex_orbit,
     word_permutation,
     wreath,
@@ -467,64 +460,33 @@ def check_free_semigroup(table: RecursionTable, max_len: int) -> Report:
     """All positive words up to max_len define pairwise distinct,
     nontrivial elements.
 
-    The action on a level is a group action, so the sweep builds each
-    word's level-3 action by composing its prefix's with the last
-    letter's, and reads the level-2 action off it.  Words are bucketed
-    by level-2 action; every pair within a bucket is a candidate and
-    counts as one equality check.  A word that moves a level-2 vertex is
-    nontrivial, and two words that act differently on level 3 are
-    different elements, on any table.  So the search is asked only
-    whether a word with trivial level-2 action is trivial, and whether
-    the candidates with equal level-3 actions are equal.  Raises
-    BudgetExceeded as soon as the candidate pairs pass _PAIR_BUDGET: a
-    word joining a bucket of s words adds s pairs."""
+    Each word's level-2 and level-3 actions are its prefix's composed
+    with its last letter's rows.  Words are bucketed by level-2 action,
+    and every pair within a bucket counts as one equality check.  A word
+    that moves a level-2 vertex is nontrivial and words that act
+    differently on level 3 differ, on any table, so the search is asked
+    only about words with trivial level-2 action and about pairs with
+    equal level-3 actions.  Raises BudgetExceeded once the pairs pass
+    _PAIR_BUDGET (a word joining a bucket of s words adds s), and
+    LevelTooLarge past DEFAULT_VERTEX_CAP level-3 vertices."""
     A = table.alphabet
-    d = A.d
-    n = d**3
-    # each level-3 action as the images of the level-3 vertices, all
-    # numbered 0..n-1 in lexicographic order; the level-2 vertex xy is
-    # the prefix of xy1, whose number is d times that of xy
-    maps = {
-        l: [((x - 1) * d + y - 1) * d + z - 1
-            for x, y, z in level_permutation(table, Word(A, (l,)), 3)]
-        for l in A.indices()
-    }
-    if n <= 256:
-        # bytes.translate composes with a 256-entry map at C speed
-        tables = {l: bytes(m).ljust(256, b"\0") for l, m in maps.items()}
-        floor = bytes(i // d for i in range(256))
-        start = bytes(range(n))
-
-        def then(img, l):
-            return img.translate(tables[l])
-
-        def level2(img):
-            return img[::d].translate(floor)
-    else:
-        from array import array  # here, not at the top: only d >= 7 needs it
-
-        code = "H" if n <= 1 << 16 else "L"
-        start = array(code, range(n))
-
-        def then(img, l):
-            return array(code, map(maps[l].__getitem__, img))
-
-        def level2(img):
-            return tuple(i // d for i in img[::d])
-
-    fixed = level2(start)
+    # level 3 first, so that a table past the vertex cap builds no level
+    three, two = _level(table, 3), _level(table, 2)
+    # an action past 256 vertices is an array; bytes() makes a key of it
+    fixed = bytes(two[0])
     trivial, coincide = [], []
     buckets: dict = {}  # level-2 action -> [(letters, level-3 class)]
     classes: dict = {}  # level-3 action as bytes -> class number
     total = pairs_checked = 0
-    prefixes = [((), start)]
+    prefixes = [((), two[0], three[0])]
     for length in range(1, max_len + 1):
         layer = []  # kept only as the prefixes of the next length
-        for prefix, before in prefixes:
+        for prefix, before2, before3 in prefixes:
             for l in A.indices():
-                letters, img = prefix + (l,), then(before, l)
+                letters = prefix + (l,)
+                act2, act3 = before2.translate(two[l]), before3.translate(three[l])
                 total += 1
-                key = level2(img)
+                key = bytes(act2)
                 if key == fixed and is_identity(table, Word(A, letters)).is_identity:
                     trivial.append(letters)
                 bucket = buckets.setdefault(key, [])
@@ -533,9 +495,9 @@ def check_free_semigroup(table: RecursionTable, max_len: int) -> Report:
                     raise BudgetExceeded(
                         f"more than {_PAIR_BUDGET} equality checks needed"
                     )
-                bucket.append((letters, classes.setdefault(bytes(img), len(classes))))
+                bucket.append((letters, classes.setdefault(bytes(act3), len(classes))))
                 if length < max_len:
-                    layer.append((letters, img))
+                    layer.append((letters, act2, act3))
         prefixes = layer
     # u = p x s, v = p y s (s the longest common suffix, p the longest
     # common prefix of the rest): the search on u v' = p x y' p' starts

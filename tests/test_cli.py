@@ -235,6 +235,39 @@ def test_usage_errors(capsys):
     assert run(capsys, "identity", "--d", "3", "--max-nodes", "0", "a")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("order-probe", "--d", "3", "a", "--max-power", "0"),
+        ("order-probe", "--d", "3", "a", "--max-power", "-5"),
+        ("free-semigroup", "--d", "3", "--max-len", "0"),
+        ("free-semigroup", "--d", "3", "--max-len", "-2"),
+    ],
+)
+def test_counts_below_one_are_usage_errors(capsys, argv):
+    # exit 1 means a verification failure, so a bad count exits 2
+    option, value = argv[-2:]
+    assert run(capsys, *argv) == (2, "", f"error: {option} must be positive, got {value}\n")
+
+
+def test_vertices_of_a_ten_generator_table(capsys, tmp_path):
+    # at degree 10 a vertex's entries are dot-separated: 1010 could be
+    # (10, 10) or (1, 0, 1, 0)
+    path = tmp_path / "ten.txt"
+    rows = ["g0 = (g0, e, e, e, e, e, e, e, e, g1) (1 10)"]
+    rows += [f"g{i} = ({', '.join(['e'] * 10)}) ()" for i in range(1, 10)]
+    path.write_text("\n".join(rows) + "\n")
+    table = ("--table", str(path))
+    assert run(capsys, "eval", *table, "g0", "1.1") == (0, "10.10\n", "")
+    assert run(capsys, "eval", *table, "g0", "10.2") == (0, "1.2\n", "")
+    assert run(capsys, "eval", *table, "g0", "") == (0, "\n", "")
+    assert run(capsys, "section", *table, "g0", "10") == (0, "g1\n", "")
+    assert run(capsys, "section", *table, "g0", "1.10") == (0, "g1\n", "")
+    assert run(capsys, "eval", *table, "g0", "11") == (
+        2, "", "error: vertex entry '11' outside 1..10\n"
+    )
+
+
 def test_max_nodes_flag_sets_the_budget(capsys):
     # a'^12 b'^12 a^12 b^12 fixes level 3, so deciding it descends into
     # at least one section

@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 from functools import reduce
 
@@ -23,8 +24,10 @@ from arbora.tree import (
     word_permutation,
     wreath,
     _compose,
+    _level,
 )
 from arbora.words import Alphabet, Word, invert, parse_word
+from pointwise import level_images
 
 T3 = build_table(3)
 T4 = build_table(4)
@@ -94,13 +97,28 @@ def test_cycle_string_roundtrip():
 def test_parse_and_format_vertex():
     assert parse_vertex("", 3) == ()
     assert parse_vertex("132", 3) == (1, 3, 2)
-    assert format_vertex((2, 1)) == "21"
+    assert format_vertex((2, 1), 3) == "21"
     with pytest.raises(BadVertex):
         parse_vertex("14", 3)
     with pytest.raises(BadVertex):
         parse_vertex("0", 3)
     with pytest.raises(BadVertex):
         parse_vertex("x", 3)
+    with pytest.raises(BadVertex):
+        parse_vertex("\u00b2", 3)  # a digit that int() does not read
+
+
+def test_vertices_past_nine_slots_are_dot_separated():
+    # at degree 10 the digits 1010 could be (10, 10) or (1, 0, 1, 0)
+    assert parse_vertex("10.1.10", 10) == (10, 1, 10)
+    assert parse_vertex("", 10) == ()
+    assert format_vertex((10, 1, 10), 10) == "10.1.10"
+    assert format_vertex((), 12) == ""
+    for v in itertools.product((1, 9, 10, 12), repeat=2):
+        assert parse_vertex(format_vertex(v, 12), 12) == v
+    for text in ("1010", "13", "1..2", "0", "2.x", "1."):
+        with pytest.raises(BadVertex, match="^vertex entry .* outside 1..12$"):
+            parse_vertex(text, 12)
 
 
 # ---------------------------------------------------------------------------
@@ -234,21 +252,33 @@ def test_vertex_orbit_sizes():
     assert len(vertex_orbit(T5, (1, 1))) == 25
 
 
+def closure(table, v):
+    """The orbit of v under the generators and their inverses, by act_vertex."""
+    A = table.alphabet
+    moves = [Word(A, (l,)) for i in A.indices() for l in (i, -i)]
+    seen, frontier = {v}, {v}
+    while frontier:
+        frontier = {act_vertex(table, m, u) for u in frontier for m in moves}
+        frontier -= seen
+        seen |= frontier
+    return seen
+
+
 def test_vertex_orbit_is_the_closure_under_inverses_too():
     # the README table is not level-transitive (the orbit of 11 has 9
     # vertices); closing under the generators alone finds the orbits that
     # closing under the generators and their inverses finds
-    A = README.alphabet
-    moves = [Word(A, (l,)) for i in A.indices() for l in (i, -i)]
     for k in range(5):
-        for v in itertools.product(A.indices(), repeat=k):
-            seen, frontier = {v}, {v}
-            while frontier:
-                frontier = {act_vertex(README, m, u) for u in frontier for m in moves}
-                frontier -= seen
-                seen |= frontier
-            assert vertex_orbit(README, v) == seen
+        for v in itertools.product(README.alphabet.indices(), repeat=k):
+            assert vertex_orbit(README, v) == closure(README, v)
     assert len(vertex_orbit(README, (1, 1))) == 9
+
+
+def test_vertex_orbit_past_a_byte_of_vertices():
+    # level 6 has 729 vertices, so its rows are arrays, not bytes
+    for v in ((1,) * 6, (2, 3, 1, 1, 2, 3), (3,) * 6, (1, 2, 3, 3, 2, 1)):
+        assert vertex_orbit(README, v) == closure(README, v)
+    assert len(vertex_orbit(T3, (2,) * 6)) == 3**6
 
 
 # ---------------------------------------------------------------------------
@@ -468,5 +498,49 @@ def test_pair_rows_compose_like_single_letters(table, data):
     # and the deepest level's action is the fold's, vertex by vertex
     k = len(table._rows)
     level = list(itertools.product(range(1, d + 1), repeat=k))
-    images = level_permutation(table, Word(table.alphabet, letters), k)
+    images = level_images(table, Word(table.alphabet, letters), k)
     assert _compose(table._rows[-1], letters)[: d**k] == bytes(map(level.index, images))
+
+
+# ---------------------------------------------------------------------------
+# levels deeper than a table keeps
+
+
+@pytest.mark.parametrize(
+    "table, k", [(T3, 6), (README, 6), (LONG, 7)], ids=["d3", "readme", "long"]
+)
+def test_deep_level_rows_match_pointwise_action(table, k):
+    # past 256 vertices a level's rows are arrays; LONG's sections hold
+    # inverse letters, so its level 7 is built from level 6's inverse rows
+    A = table.alphabet
+    rows = _level(table, k)
+    level = list(itertools.product(A.indices(), repeat=k))
+    sample = random.Random(k).sample(range(len(level)), 60)
+    for l in (*A.indices(), *(-i for i in A.indices())):
+        w = Word(A, (l,))
+        assert [level[rows[l][u]] for u in sample] == [
+            act_vertex(table, w, level[u]) for u in sample
+        ]
+        assert rows[l].translate(rows[-l]) == rows[0]
+    # the level was built for this call alone: the table keeps levels 1..3
+    assert len(rows[0]) == len(level) and len(table._rows) == 3
+
+
+@pytest.mark.parametrize("table", [T3, README], ids=["d3", "readme"])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_level_permutation_past_a_byte_matches_pointwise_action(table, data):
+    # level 6 has 729 vertices and the table keeps levels 1..3, so the word
+    # is folded three levels and each section composed on level 3
+    w = data.draw(table_words(table, max_len=10))
+    assert level_permutation(table, w, 6) == level_images(table, w, 6)
+
+
+@pytest.mark.parametrize(
+    "table, top", [(T3, 6), (README, 6), (LONG, 5)], ids=["d3", "readme", "long"]
+)
+def test_level_permutation_of_a_mixed_word_matches_pointwise_action(table, top):
+    # six letters of both signs, more than the three levels a table keeps
+    w = Word(table.alphabet, (1, -2, 3, 3, -1, 2))
+    for k in range(top + 1):
+        assert level_permutation(table, w, k) == level_images(table, w, k)

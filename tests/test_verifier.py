@@ -2,12 +2,11 @@ import itertools
 
 import pytest
 
-from arbora.errors import BudgetExceeded
+from arbora.errors import BudgetExceeded, LevelTooLarge
 from arbora.family import _aligner_factors, build_table, catalog
 from arbora.tree import (
     Permutation,
     RecursionTable,
-    level_permutation,
     load_table,
     wreath,
 )
@@ -30,6 +29,7 @@ from arbora.verifier import (
 )
 from arbora.wordproblem import are_equal, is_identity
 from arbora.words import Word, exponent_vector
+from pointwise import level_images
 
 
 def test_run_all_passes_at_arity_3():
@@ -390,7 +390,7 @@ def brute_force_free_semigroup(table, max_len):
             total += 1
             if is_identity(table, w).is_identity:
                 problems.append(f"positive word {w} is trivial")
-            buckets.setdefault(level_permutation(table, w, 2), []).append(w)
+            buckets.setdefault(level_images(table, w, 2), []).append(w)
     pairs = [p for b in buckets.values() for p in itertools.combinations(b, 2)]
     problems += [f"positive words {u} and {v} coincide"
                  for u, v in pairs if are_equal(table, u, v)]
@@ -416,6 +416,21 @@ def test_free_semigroup_matches_the_brute_force_sweep():
         assert (rep.status, rep.detail, rep.data) == brute_force_free_semigroup(
             table, max_len
         )
+
+
+def test_free_semigroup_past_a_byte_of_level_2_vertices():
+    # with 17 generators level 2 has 289 vertices, so a word's level-2
+    # action, the bucket key, is an array rather than bytes
+    table = build_table(17)
+    rep = check_free_semigroup(table, 2)
+    assert (rep.status, rep.detail, rep.data) == brute_force_free_semigroup(table, 2)
+    assert rep.data == {"words": 17 + 17**2, "pairs_checked": 119}
+
+
+def test_free_semigroup_refuses_a_level_3_past_the_vertex_cap():
+    # 101**3 vertices exceed DEFAULT_VERTEX_CAP
+    with pytest.raises(LevelTooLarge, match="^101\\*\\*3 vertices exceed the cap"):
+        check_free_semigroup(build_table(101), 1)
 
 
 def test_free_semigroup_asks_the_search_only_where_levels_agree(monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from arbora.errors import AlphabetMismatch, NodeBudgetExceeded
 from arbora.family import build_table, catalog_word
-from arbora.tree import Permutation, RecursionTable, level_permutation, load_table
+from arbora.tree import Permutation, RecursionTable, load_table
 from arbora.wordproblem import (
     Decision,
     Finite,
@@ -24,6 +24,7 @@ from arbora.words import (
     exponent_vector,
     parse_word,
 )
+from pointwise import level_images
 
 T3 = build_table(3)
 T4 = build_table(4)
@@ -120,7 +121,7 @@ def test_visited_set_ends_a_cycle():
     w = Word(table.alphabet, (1, -2))
     assert is_identity(table, w, max_nodes=20) == Decision(True, 5, 3)
     level5 = tuple(itertools.product(range(1, 4), repeat=5))
-    assert level_permutation(table, w, 5) == level5
+    assert level_images(table, w, 5) == level5
 
 
 @st.composite
@@ -168,7 +169,7 @@ def test_one_letter_tables_terminate(table, data):
     level3 = tuple(itertools.product(range(1, d + 1), repeat=3))
     for w in data.draw(st.lists(words(d, 8), min_size=1, max_size=20)):
         if is_identity(table, w).is_identity:
-            assert level_permutation(table, w, 3) == level3
+            assert level_images(table, w, 3) == level3
 
 
 # the deepest level with at most 32 vertices, the level each node is tested on
@@ -184,10 +185,10 @@ def test_a_vertex_moved_on_the_checked_level_ends_the_search_at_node_1(table, da
     level4 = tuple(itertools.product(range(1, d + 1), repeat=4))
     for w in data.draw(st.lists(words(d, 8), min_size=1, max_size=10)):
         dec = is_identity(table, w)
-        if level_permutation(table, w, k) != checked:
+        if level_images(table, w, k) != checked:
             assert not dec.is_identity and dec.nodes_explored == 1
         if dec.is_identity:
-            assert level_permutation(table, w, 4) == level4
+            assert level_images(table, w, 4) == level4
 
 
 def long_conjugator(rng, table, w, n):
@@ -215,7 +216,7 @@ def test_a_long_conjugate_gets_the_decision_of_its_core(table, data):
     # w's cyclic core has letters of one sign only (such as a**6 at d = 3,
     # which fixes level 3)
     k = CHECKED_LEVEL[d]
-    moved = level_permutation(table, w, k) != tuple(
+    moved = level_images(table, w, k) != tuple(
         itertools.product(range(1, d + 1), repeat=k)
     )
     one_signed = len({l > 0 for l in _cyclic_core(w.letters)}) == 1
@@ -250,7 +251,7 @@ def test_identity_is_conjugation_invariant(w, u):
 @settings(max_examples=60, deadline=None)
 def test_identity_words_act_trivially_on_low_levels(w):
     if is_identity(T3, w).is_identity:
-        images = level_permutation(T3, w, 3)
+        images = level_images(T3, w, 3)
         assert images == tuple(
             (x, y, z)
             for x in range(1, 4)
