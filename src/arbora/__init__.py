@@ -4,9 +4,10 @@ The library models group elements as freely reduced words over d
 generators, each generator given by a wreath recursion (d section words
 plus a permutation of the first level).  On top of that it provides the
 vertex action, sections at arbitrary vertices, portraits, a section
-search that decides the word problem, a catalog of derived elements,
-and a verifier that re-derives the identities the whole construction
-rests on.
+search that decides the word problem, and a catalog of derived elements.
+
+The verifier, which re-derives the identities the construction rests
+on, is imported as ``arbora.verifier``: ``import arbora`` leaves it out.
 """
 
 from .errors import (
@@ -43,21 +44,6 @@ from .tree import (
     vertex_orbit,
     word_permutation,
     wreath,
-)
-from .verifier import (
-    CHECK_IDS,
-    Report,
-    check_branch_witnesses,
-    check_exponent_laws,
-    check_free_semigroup,
-    check_fractal_witnesses,
-    check_hk_and_branch,
-    check_lemma_chains,
-    check_noncontracting_witness,
-    check_parity_and_even_d,
-    check_section_tables,
-    check_transitivity,
-    run_all,
 )
 from .wordproblem import (
     DEFAULT_MAX_NODES,

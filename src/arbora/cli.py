@@ -79,11 +79,6 @@ def _parse(table: RecursionTable, text: str) -> Word:
     return parse_word(text, table.alphabet, _names_for(table))
 
 
-def _fmt(table: RecursionTable, w: Word) -> str:
-    names = table.names if _names_for(table) else None
-    return format_word(w, names)
-
-
 def _positive(option: str, value: int | None) -> int | None:
     if value is not None and value < 1:
         raise ArboraError(f"{option} must be positive, got {value}")
@@ -115,7 +110,7 @@ def cmd_section(args) -> int:
     table = _resolve_table(args)
     w = _parse(table, args.word)
     v = parse_vertex(args.vertex, table.alphabet.d)
-    print(_fmt(table, section(table, w, v)))
+    print(format_word(section(table, w, v), table.names))
     return 0
 
 
@@ -165,8 +160,7 @@ def cmd_orbit(args) -> int:
 def cmd_portrait(args) -> int:
     table = _resolve_table(args)
     w = _parse(table, args.word)
-    names = table.names if _names_for(table) else None
-    print(format_portrait(portrait(table, w, args.depth), names))
+    print(format_portrait(portrait(table, w, args.depth), table.names))
     return 0
 
 

@@ -193,7 +193,7 @@ class RecursionTable(_Value):
             if len(row) != d:
                 raise MalformedToken(f"each generator needs {d} section words")
             for w in row:
-                if w.alphabet != alphabet:
+                if w.alphabet is not alphabet and w.alphabet != alphabet:
                     raise MalformedToken("section word over a different alphabet")
         for p in perms:
             if p.degree != d:
@@ -506,14 +506,15 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 def load_table(text: str) -> RecursionTable:
     """Parse the line format produced by format_table.
 
-    Blank lines and ``#`` comments are ignored.  The arity is the number
-    of generator rows; every section word may only use the names declared
-    by the table itself (self-similarity is enforced by construction).
+    Blank lines and ``#`` comments, whole-line or trailing, are ignored.
+    The arity is the number of generator rows; every section word may only
+    use the names declared by the table itself (self-similarity is
+    enforced by construction).
     """
     rows = []
     for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         name, eq, rhs = line.partition("=")
         if not eq:

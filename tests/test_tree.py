@@ -295,13 +295,14 @@ def test_load_table_with_comments():
     table = load_table(
         """
         # ternary odometer-like machine
-        x = (e, e, x) (1 2 3)
-        y = (y, e, e) ()
-        z = (e, z, e) (1 3)
+        x = (e, e, x) (1 2 3) # rot
+        y = (y, e, e) ()#fixes level 1
+        z = (e, z, e) (1 3)   # swap
         """
     )
     assert table.names == ("x", "y", "z")
     assert act_vertex(table, parse_word("x", table.alphabet, {"x": 1}), (3, 1)) == (1, 2)
+    assert table == load_table("x = (e, e, x) (1 2 3)\ny = (y, e, e) ()\nz = (e, z, e) (1 3)")
 
 
 def test_load_table_errors():

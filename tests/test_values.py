@@ -1,3 +1,4 @@
+import ast
 import copy
 import os
 import pickle
@@ -14,7 +15,6 @@ from arbora import (
     Finite,
     Permutation,
     RecursionTable,
-    Report,
     UnknownBeyond,
     Word,
     build_table,
@@ -23,6 +23,7 @@ from arbora import (
     portrait,
     wreath,
 )
+from arbora.verifier import Report
 
 A3 = Alphabet(3)
 T3 = build_table(3)
@@ -123,11 +124,19 @@ def test_reports_stay_mutable_records():
 
 def test_importing_arbora_loads_no_dataclasses():
     # dataclasses pulls in inspect, ast, dis and tokenize: about a quarter
-    # of what importing arbora cost with them
+    # of what importing arbora cost with them.  The library's set-up (the
+    # family tables with their catalogs, and a table file) leaves out the
+    # verifier and the CLI too, and array, which only rows past 256
+    # vertices need.
     script = (
         "import sys\n"
         "import arbora\n"
-        "first = {'dataclasses', 'inspect'} & set(sys.modules)\n"
+        "for d in range(3, 10):\n"
+        "    arbora.build_table(d)\n"
+        "    arbora.catalog(d)\n"
+        "arbora.load_table('x = (e, e, x) (1 2 3)\\ny = (y, e, e) ()\\nz = (e, z, e) (1 3)')\n"
+        "first = {'arbora.verifier', 'arbora.cli', 'array', 'dataclasses', 'inspect'}\n"
+        "first &= set(sys.modules)\n"
         "import arbora.cli\n"
         "print(sorted(first), sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
     )
@@ -141,3 +150,20 @@ def test_importing_arbora_loads_no_dataclasses():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[] []\n"
+
+
+def test_the_benchmark_reads_its_names_from_the_package_root():
+    # bench/run.py cuts verify-suite calls at the SPLIT_AT functions it
+    # finds on ``arbora`` and silently skips a missing one, which would
+    # change what verify_s measures
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    text = (bench / "run.py").read_text(encoding="utf-8")
+    split_at = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(text).body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "SPLIT_AT"
+    )
+    others = ("load_table", "parse_word", "Word", "cyclic_normalize")
+    sources = text + (bench / "tables.py").read_text(encoding="utf-8")
+    assert split_at and all(f".{name}" in sources for name in others)
+    assert [name for name in (*split_at, *others) if not hasattr(arbora, name)] == []
