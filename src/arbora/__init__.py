@@ -49,7 +49,6 @@ from .wordproblem import (
     DEFAULT_MAX_NODES,
     Decision,
     Finite,
-    OrderResult,
     UnknownBeyond,
     are_equal,
     is_identity,

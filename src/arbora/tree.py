@@ -2,8 +2,10 @@
 
 A recursion table assigns every generator a d-tuple of section words and
 a permutation of {1..d}.  Vertex images, sections and portraits are
-computed by folding letters through that data; a word's action on a whole
-level (level_permutation, vertex_orbit) composes the table's level rows.
+computed by folding letters through that data.  A word's action on a
+whole level (level_permutation, a level row, vertex_orbit) follows by one
+rule, _images: fold the word down to a shallower level whose rows are
+kept, and compose each section there.  Rows are made on first use.
 
 Composition convention: words act letter by letter, FIRST letter FIRST.
 Consequently ``(uv)(x) = v(u(x))`` and permutation products compose left
@@ -170,11 +172,11 @@ class RecursionTable(_Value):
 
     # _steps and _rows are filled in __init__.  _steps[l][x] is (section
     # letters of l at x, image of x), indexed by slot (entry 0 unused).
-    # _rows[j - 1] is level j's _LevelRows, made by _rows_of: the level's
-    # vertices are numbered 0.. in lexicographic order, [l] is letter l's
-    # row, [-i] the inverse letter's and [0] the identity.  The table keeps
+    # _rows[j - 1] is level j's _LevelRows, which holds only the identity
+    # row [0] until a letter's row [l] (or [-i]) is asked for: the level's
+    # vertices are numbered 0.. in lexicographic order.  The table keeps
     # the levels with at most _CHECK_VERTICES vertices, and level 1;
-    # _level builds any deeper one.
+    # _level makes any deeper one.
     __slots__ = ("alphabet", "names", "sections", "perms", "_steps", "_rows")
 
     def __init__(self, alphabet: Alphabet, names: tuple[str, ...],
@@ -209,51 +211,58 @@ class RecursionTable(_Value):
                 for x in range(1, d + 1)
             ))
         # kept: level 1 and each next one with at most _CHECK_VERTICES vertices
-        rows = [_rows_of([[y - 1 for _, y in steps[i][1:]] for i in range(1, d + 1)])]
+        rows = [_LevelRows(steps, (), 1)]
         while d ** (len(rows) + 1) <= _CHECK_VERTICES:
-            rows.append(_next_level(steps, rows[-1], d))
+            rows.append(_LevelRows(steps, tuple(rows), len(rows) + 1))
         values = (alphabet, names, sections, perms, steps, tuple(rows))
         for name, value in zip(self.__slots__, values):
             _set(self, name, value)
 
 
-def _next_level(steps: dict, above: "_LevelRows", d: int) -> "_LevelRows":
-    """Every letter's action on the level under the one of `above`.
+class _LevelRows(dict):
+    """One level's rows, each made on first use and kept: letter l (0 for
+    the identity) -> its action, and a letter pair (a, b) -> the action of
+    a then b, so a level holds at most (2d)**2 pair rows.  A letter row
+    is _images of the letter on the levels `above`, all shallower than
+    this one.  Up to 256 vertices, as many as a byte numbers, a letter
+    row is a 256-byte bytes.translate table whose larger bytes map to
+    themselves; past that, an _array_row().  The identity row is the
+    level's own vertices, which compose by .translate too."""
 
-    A generator maps the vertex x v to l(x) l|_x(v), so its row is, slot
-    by slot, the action of its section on the level above shifted into
-    the block of its image; an inverse row is the inverse permutation."""
-    m = len(above[0])  # vertices below each first-level slot
-    # section letters -> their action on the level above
-    sections = {sec: above[0] for i in range(1, d + 1) for sec, _ in steps[i][1:]}
-    for sec in sections:
-        for l in sec:
-            sections[sec] = sections[sec].translate(above[l])
-    return _rows_of([[(y - 1) * m + v for sec, y in steps[i][1:] for v in sections[sec]]
-                     for i in range(1, d + 1)])
+    __slots__ = ("steps", "above", "k")
+
+    def __init__(self, steps: dict, above: tuple, k: int) -> None:
+        n = (len(steps[1]) - 1) ** k
+        super().__init__({0: bytes(range(n)) if n <= 256 else _array_row()("I", range(n))})
+        self.steps, self.above, self.k = steps, above, k
+
+    def __missing__(self, key: int | tuple[int, int]) -> bytes:
+        if type(key) is tuple:
+            row = self[key[0]].translate(self[key[1]])
+        else:
+            action = _images(self.steps, self.above, (key,), self.k)
+            row = (bytes.maketrans(self[0], bytes(action)) if len(action) <= 256
+                   else _array_row()("I", action))
+        self[key] = row
+        return row
 
 
-def _rows_of(actions: list) -> "_LevelRows":
-    """A level's rows from its generators' actions (vertex images): up to
-    256 vertices, as many as a byte numbers, 256-byte bytes.translate
-    tables whose larger bytes map to themselves, past that _array_row()s.
-    Entry 0 is the identity action, which composes by .translate too."""
-    n = len(actions[0])
-    if n <= 256:
-        ident = bytes(range(n))
-        rows = _LevelRows({0: ident})
-        for i, action in enumerate(map(bytes, actions), start=1):
-            rows[i] = bytes.maketrans(ident, action)
-            rows[-i] = bytes.maketrans(action, ident)
-        return rows
-    row = _array_row()
-    rows = _LevelRows({0: row("I", range(n))})
-    for i, action in enumerate(actions, start=1):
-        rows[i] = row("I", action)
-        rows[-i] = inverse = row("I", action)
-        for v, y in enumerate(action):
-            inverse[y] = v
-    return rows
+def _images(steps: dict, kept: tuple, letters: tuple[int, ...], k: int) -> list[int]:
+    """The letters' action on level k >= 0, as the image of each vertex
+    number.  With j the deepest level in `kept` (levels 1, 2, ...), or k
+    if that is less, the letters are folded k - j levels down and each
+    section's action on level j is composed from kept[j - 1]'s rows."""
+    d, j = len(steps[1]) - 1, min(k, len(kept))
+    nodes = [(0, letters)]  # (number of a vertex's image, section there)
+    for _ in range(k - j):
+        folds = [(image, _fold_once(steps, sec, x)) for image, sec in nodes
+                 for x in range(1, d + 1)]
+        nodes = [(image * d + y - 1, sec) for image, (sec, y) in folds]
+    if not j:
+        return [image for image, _ in nodes]
+    rows = kept[j - 1]
+    m = len(rows[0])
+    return [image * m + y for image, sec in nodes for y in _compose(rows, sec)]
 
 
 @cache
@@ -274,24 +283,12 @@ def _array_row() -> type:
     return _ArrayRow
 
 
-def _level(table: "RecursionTable", k: int) -> "_LevelRows":
-    """Every letter's action on level k >= 1: the table's own rows on the
-    levels it keeps, and below those, rows built for this call alone."""
+def _level(table: "RecursionTable", k: int) -> _LevelRows:
+    """Every letter's action on level k: the table's own rows on the
+    levels it keeps, and past those, rows made for this call alone."""
     _check_level_size(table.alphabet.d, k)
-    rows = table._rows[min(k, len(table._rows)) - 1]
-    for _ in range(len(table._rows), k):
-        rows = _next_level(table._steps, rows, table.alphabet.d)
-    return rows
-
-
-class _LevelRows(dict):
-    """One level's rows: letter l (0 for the identity) -> its action, and
-    a letter pair (a, b) -> the action of a then b, composed on first use
-    and kept, so a level holds at most (2d)**2 pair rows."""
-
-    def __missing__(self, pair: tuple[int, int]) -> bytes:
-        row = self[pair] = self[pair[0]].translate(self[pair[1]])
-        return row
+    rows = table._rows
+    return rows[k - 1] if 0 < k <= len(rows) else _LevelRows(table._steps, rows, k)
 
 
 def _compose(rows: _LevelRows, letters: Sequence[int]) -> bytes:
@@ -340,9 +337,9 @@ def _check_alphabet(table: RecursionTable, w: Word) -> None:
         )
 
 
-def _fold_once(table: RecursionTable, letters: tuple[int, ...], x: int):
-    """One level of the fold: return (section letters at x, image of x)."""
-    steps = table._steps
+def _fold_once(steps: dict, letters: tuple[int, ...], x: int):
+    """One level of the fold through a table's _steps: return (section
+    letters at x, image of x)."""
     # the sentinel 0 never cancels a letter, so the stack needs no
     # emptiness test
     out = [0]
@@ -364,7 +361,7 @@ def section(table: RecursionTable, w: Word, v: Sequence[int]) -> Word:
     check_vertex(v, table.alphabet.d)
     letters = w.letters
     for x in v:
-        letters, _ = _fold_once(table, letters, x)
+        letters, _ = _fold_once(table._steps, letters, x)
     return _reduced(table.alphabet, letters)
 
 
@@ -378,7 +375,7 @@ def act_vertex(table: RecursionTable, w: Word, v: Sequence[int]) -> Vertex:
         if not letters:
             # the empty section fixes the rest of the vertex
             break
-        letters, image = _fold_once(table, letters, x)
+        letters, image = _fold_once(table._steps, letters, x)
         out.append(image)
     return (*out, *v[len(out):])
 
@@ -392,7 +389,7 @@ def word_permutation(table: RecursionTable, w: Word) -> Permutation:
 def wreath(table: RecursionTable, w: Word) -> WreathRecursion:
     """All first-level sections together with the root permutation."""
     _check_alphabet(table, w)
-    folds = [_fold_once(table, w.letters, x) for x in table.alphabet.indices()]
+    folds = [_fold_once(table._steps, w.letters, x) for x in table.alphabet.indices()]
     return WreathRecursion(
         tuple(_reduced(table.alphabet, sec) for sec, _ in folds),
         Permutation(tuple(image for _, image in folds)),
@@ -415,24 +412,14 @@ def _check_level_size(d: int, k: int) -> None:
 
 
 def level_permutation(table: RecursionTable, w: Word, k: int) -> tuple[Vertex, ...]:
-    """Images of every level-k vertex in lexicographic order.
-
-    With j the deepest level the table keeps, or k if that is less, the
-    word is folded k - j levels down, and each section's action on level
-    j is composed from the table's rows."""
+    """Images of every level-k vertex in lexicographic order: the word is
+    folded down to the deepest level the table keeps, or to level k if
+    that is less, and each section composed there (_images)."""
     _check_alphabet(table, w)
     d = table.alphabet.d
     _check_level_size(d, k)
-    j = min(k, len(table._rows))
-    if not j:
-        return ((),)
-    nodes = [((), w.letters)]  # (image of a vertex, section there), in order
-    for _ in range(k - j):
-        folds = [(image, _fold_once(table, letters, x))
-                 for image, letters in nodes for x in range(1, d + 1)]
-        nodes = [(image + (y,), sec) for image, (sec, y) in folds]
-    rows, tail = table._rows[j - 1], list(product(range(1, d + 1), repeat=j))
-    return tuple(image + tail[y] for image, sec in nodes for y in _compose(rows, sec))
+    level = list(product(range(1, d + 1), repeat=k))
+    return tuple(map(level.__getitem__, _images(table._steps, table._rows, w.letters, k)))
 
 
 def portrait(table: RecursionTable, w: Word, depth: int) -> Portrait:
@@ -472,11 +459,8 @@ def vertex_orbit(table: RecursionTable, v: Vertex) -> set[Vertex]:
     with one row lookup per generator.  A level is finite, so a set
     closed under a permutation is closed under its inverse too."""
     d = table.alphabet.d
-    _check_level_size(d, len(v))
+    rows = _level(table, len(v))  # refuses a level past the cap before v is read
     check_vertex(v, d)
-    if not v:
-        return {v}
-    rows = _level(table, len(v))
     moves = [rows[i] for i in range(1, d + 1)]
     level = list(product(range(1, d + 1), repeat=len(v)))
     frontier = {level.index(tuple(v))}

@@ -470,7 +470,7 @@ def check_free_semigroup(table: RecursionTable, max_len: int) -> Report:
     _PAIR_BUDGET (a word joining a bucket of s words adds s), and
     LevelTooLarge past DEFAULT_VERTEX_CAP level-3 vertices."""
     A = table.alphabet
-    # level 3 first, so that a table past the vertex cap builds no level
+    # level 3 first, so that a table past the vertex cap makes no level
     three, two = _level(table, 3), _level(table, 2)
     # an action past 256 vertices is an array; bytes() makes a key of it
     fixed = bytes(two[0])

@@ -64,20 +64,14 @@ class Decision(_Value):
     shortcut_hits = 0
 
 
-class OrderResult(_Value):
-    """Base class for order_probe outcomes."""
-
-    __slots__ = ()
-
-
-class Finite(OrderResult):
+class Finite(_Value):
     __slots__ = ("order",)
 
     def __init__(self, order: int) -> None:
         _set(self, "order", order)
 
 
-class UnknownBeyond(OrderResult):
+class UnknownBeyond(_Value):
     __slots__ = ("bound",)
 
     def __init__(self, bound: int) -> None:
@@ -96,7 +90,7 @@ def is_identity(
     if not w.letters:
         return Decision(True, 1, 1)
     d = alphabet.d
-    rows = table._rows[-1]
+    steps, rows = table._steps, table._rows[-1]
     fixed = rows[0]
     nodes = max_depth = 0
     seen: set[tuple[int, ...]] = set()
@@ -105,7 +99,7 @@ def is_identity(
     stack = [(w.letters, 0, 1)]
     while stack:
         key, x, depth = stack.pop()
-        letters = _fold_once(table, key, x)[0] if x else key
+        letters = _fold_once(steps, key, x)[0] if x else key
         if not letters:
             continue
         nodes += 1
@@ -141,7 +135,7 @@ def order_probe(
     w: Word,
     bound: int,
     max_nodes: int | None = None,
-) -> OrderResult:
+) -> Finite | UnknownBeyond:
     """Smallest n <= bound with w**n trivial, else UnknownBeyond(bound)."""
     if bound < 1:
         raise ValueError(f"bound must be positive, got {bound}")

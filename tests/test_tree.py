@@ -6,6 +6,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arbora import tree, verifier
 from arbora.errors import AlphabetMismatch, BadVertex, LevelTooLarge, MalformedToken
 from arbora.family import build_table
 from arbora.tree import (
@@ -26,6 +27,7 @@ from arbora.tree import (
     _compose,
     _level,
 )
+from arbora.verifier import check_free_semigroup
 from arbora.words import Alphabet, Word, invert, parse_word
 from pointwise import level_images
 
@@ -512,7 +514,7 @@ def test_pair_rows_compose_like_single_letters(table, data):
 )
 def test_deep_level_rows_match_pointwise_action(table, k):
     # past 256 vertices a level's rows are arrays; LONG's sections hold
-    # inverse letters, so its level 7 is built from level 6's inverse rows
+    # inverse letters, so each of its rows folds both signs down to level 3
     A = table.alphabet
     rows = _level(table, k)
     level = list(itertools.product(A.indices(), repeat=k))
@@ -525,6 +527,28 @@ def test_deep_level_rows_match_pointwise_action(table, k):
         assert rows[l].translate(rows[-l]) == rows[0]
     # the level was built for this call alone: the table keeps levels 1..3
     assert len(rows[0]) == len(level) and len(table._rows) == 3
+
+
+def test_rows_are_made_on_first_use(monkeypatch):
+    # a new table keeps only identity rows; the orbit and the sweep read
+    # the generators' rows alone, on kept levels (3) and deeper ones (7),
+    # so no inverse letter's row is made on the levels they read
+    table = build_table(3)
+    assert [list(rows) for rows in table._rows] == [[0], [0], [0]]
+    read = []
+
+    def recording(table, k):
+        read.append(_level(table, k))
+        return read[-1]
+
+    monkeypatch.setattr(tree, "_level", recording)
+    monkeypatch.setattr(verifier, "_level", recording)
+    vertex_orbit(table, (1,) * 3)
+    vertex_orbit(table, (1,) * 7)
+    check_free_semigroup(table, 5)
+    assert [len(rows[0]) for rows in read] == [27, 3**7, 27, 9]
+    for rows in read:
+        assert [key for key in rows if type(key) is int and key < 0] == []
 
 
 @pytest.mark.parametrize("table", [T3, README], ids=["d3", "readme"])

@@ -102,8 +102,14 @@ def test_value_types_are_immutable_values(make, text, field, stranger):
 
 def test_copied_tables_rebuild_their_rows():
     xi = catalog(3)["xi_1"]
+    # rows are made on first use, so compare every letter's row and the
+    # pair rows of a fixed word, level by level
+    letters = (1, -2, 3, 3, -1, 2)
+    keys = (0, *range(1, 4), *range(-3, 0), *zip(letters, letters[1:]))
     for table in (copy.deepcopy(T3), pickle.loads(pickle.dumps(T3))):
-        assert table._rows == T3._rows
+        assert len(table._rows) == len(T3._rows) == 3
+        for rows, twin in zip(table._rows, T3._rows):
+            assert [rows[key] for key in keys] == [twin[key] for key in keys]
         assert is_identity(table, xi**3).is_identity
         assert not is_identity(table, xi).is_identity
     # the caches take no part in equality
