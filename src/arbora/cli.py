@@ -17,6 +17,7 @@ from .family import build_table, catalog, catalog_word
 from .tree import (
     RecursionTable,
     _check_level_size,
+    _orbit_numbers,
     act_vertex,
     format_portrait,
     format_vertex,
@@ -24,7 +25,6 @@ from .tree import (
     parse_vertex,
     portrait,
     section,
-    vertex_orbit,
 )
 from .verifier import check_free_semigroup, run_all
 from .wordproblem import Finite, is_identity, order_probe
@@ -153,7 +153,7 @@ def cmd_orbit(args) -> int:
     table = _resolve_table(args)
     k = args.level
     _check_level_size(table.alphabet.d, k)
-    print(len(vertex_orbit(table, (1,) * k)))
+    print(len(_orbit_numbers(table, (1,) * k)))
     return 0
 
 

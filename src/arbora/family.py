@@ -19,6 +19,8 @@ chosen element in the first slot with trivial siblings.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import NameUnavailable
 from .tree import Permutation, RecursionTable
 from .words import Alphabet, Word, canonical_names, commutator, invert
@@ -57,6 +59,9 @@ def build_table(d: int) -> RecursionTable:
 def catalog(d: int) -> dict[str, Word]:
     """Named derived elements at arity d, as freely reduced words.
 
+    Built once per arity per process; each call returns a fresh dict of
+    the shared (immutable) words, so a caller may change its dict.
+
     Always present:
       g          product of all generators in ascending order
       h          the vertex-2 section of g**(d-1): a_2 a_1 a_d a_{d-1} .. a_3
@@ -79,6 +84,11 @@ def catalog(d: int) -> dict[str, Word]:
       rist_lift_ca (d = 3)  first-slot lift of c' a
       rist_lift_absq (d = 3)  first-slot lift of (a b)**2
     """
+    return dict(_catalog(d))
+
+
+@lru_cache(maxsize=None, typed=True)  # typed: catalog(3.0) stays an error
+def _catalog(d: int) -> dict[str, Word]:
     alphabet = Alphabet(d)
     a = {i: Word(alphabet, (i,)) for i in range(1, d + 1)}
     entries: dict[str, Word] = {

@@ -84,13 +84,15 @@ class Permutation(_Value):
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Apply self first, then other (left-to-right, like words)."""
-        return Permutation(tuple(other.images[i - 1] for i in self.images))
+        if len(other.images) != len(self.images):
+            raise ValueError(f"degrees {self.degree} and {other.degree} differ")
+        return _permutation(tuple(other.images[i - 1] for i in self.images))
 
     def inverse(self) -> "Permutation":
         images = [0] * self.degree
         for x, y in enumerate(self.images, start=1):
             images[y - 1] = x
-        return Permutation(tuple(images))
+        return _permutation(tuple(images))
 
     @property
     def is_identity(self) -> bool:
@@ -135,6 +137,14 @@ class Permutation(_Value):
             if len(entries) > 1:
                 cycles.append(entries)
         return cls.from_cycles(n, cycles)
+
+
+def _permutation(images: tuple[int, ...]) -> Permutation:
+    """A Permutation from images already known to be a bijection, such as
+    a product or inverse of bijections: skips the public check."""
+    p = object.__new__(Permutation)
+    _set(p, "images", images)
+    return p
 
 
 class WreathRecursion(_Value):
@@ -455,20 +465,26 @@ def format_portrait(p: Portrait, names: tuple[str, ...] | None = None) -> str:
 
 
 def vertex_orbit(table: RecursionTable, v: Vertex) -> set[Vertex]:
-    """Closure of {v} under the generators, searched over vertex numbers
-    with one row lookup per generator.  A level is finite, so a set
-    closed under a permutation is closed under its inverse too."""
+    """Closure of {v} under the generators (see _orbit_numbers)."""
+    numbers = _orbit_numbers(table, v)
+    level = list(product(table.alphabet.indices(), repeat=len(v)))
+    return {level[u] for u in numbers}
+
+
+def _orbit_numbers(table: RecursionTable, v: Vertex) -> set[int]:
+    """The numbers of the vertices in v's generator orbit, searched with
+    one row lookup per generator.  A level is finite, so a set closed
+    under a permutation is closed under its inverse too."""
     d = table.alphabet.d
     rows = _level(table, len(v))  # refuses a level past the cap before v is read
     check_vertex(v, d)
     moves = [rows[i] for i in range(1, d + 1)]
-    level = list(product(range(1, d + 1), repeat=len(v)))
-    frontier = {level.index(tuple(v))}
+    frontier = {reduce(lambda n, x: n * d + x - 1, v, 0)}
     seen = set(frontier)
     while frontier:
         frontier = {row[u] for row in moves for u in frontier} - seen
         seen |= frontier
-    return {level[u] for u in seen}
+    return seen
 
 
 # ---------------------------------------------------------------------------

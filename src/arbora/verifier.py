@@ -17,9 +17,13 @@ first-level sections; a hand-back row ``(w, slot, letters, label)`` says
 that w fixes level one and has the given section at one slot.  Each
 kind of row is checked by one shared routine.
 
-Both kinds of row compare the freely reduced section with the expected
-word letter for letter, as tuples; only on a mismatch is the expected
-word built and reduced, so an unreduced expectation still matches.
+Both kinds of row are checked on the private fold, _fold_once, and the
+table's level-1 row: a wreath row folds every slot, a hand-back row
+reads its root permutation from the level-1 row and folds only its
+slot.  Each compares the freely reduced section letters with the
+expected word letter for letter, as tuples; only on a mismatch is the
+expected word built and reduced, so an unreduced expectation still
+matches, and a Word or Permutation is made only for a failure's text.
 That is what a closed form states, and it implies equality as group
 elements, so no row asks the word-problem search.  The other group
 identities are folds too: two distant generators commute because their
@@ -50,13 +54,13 @@ from .family import _aligner_factors, build_table, catalog, wrap
 from .tree import (
     Permutation,
     RecursionTable,
+    _compose,
+    _fold_once,
     _level,
-    vertex_orbit,
-    word_permutation,
-    wreath,
+    _orbit_numbers,
 )
 from .wordproblem import are_equal, is_identity
-from .words import Word, _Value, commutator, exponent_vector, invert
+from .words import Word, _reduced, _Value, commutator, exponent_vector, invert
 
 CHECK_IDS = (
     "exponent_laws",
@@ -124,37 +128,49 @@ def _cycle(d: int, points) -> Permutation:
     return Permutation.from_cycles(d, [tuple(points)])
 
 
+def _folds(table: RecursionTable, w: Word) -> list[tuple]:
+    """(section letters, image) of w at each first-level slot, unwrapped."""
+    return [_fold_once(table._steps, w.letters, x) for x in table.alphabet.indices()]
+
+
+def _root_images(table: RecursionTable, w: Word) -> tuple[int, ...]:
+    """The images of w's root permutation, read from the level-1 row."""
+    return tuple(map((1).__add__, _compose(table._rows[0], w.letters)))
+
+
 def _expect_wreath_rows(table: RecursionTable, rows, problems: list[str]) -> None:
     """Each row ``(w, perm, {slot: letters}, label)`` states that w has root
     permutation perm and, at each listed slot, a section equal to the
     word with those letters; every unlisted slot must be trivial."""
+    A = table.alphabet
     for w, perm, slots, label in rows:
-        wr = wreath(table, w)
-        if wr.perm.images != perm.images:
-            problems.append(f"{label}: permutation {wr.perm} != expected {perm}")
+        folds = _folds(table, w)
+        images = tuple(image for _, image in folds)
+        if images != perm.images:
+            got = Permutation(images)
+            problems.append(f"{label}: permutation {got} != expected {perm}")
             continue
-        for x, sec in enumerate(wr.sections, start=1):
+        for x, (sec, _) in enumerate(folds, start=1):
             letters = slots.get(x, ())
-            if sec.letters == letters:
-                continue
-            expected = Word(table.alphabet, letters)
-            if sec != expected:
-                problems.append(f"{label}: section at {x} is {sec} != {expected}")
+            if sec != letters and sec != Word(A, letters).letters:
+                got, expected = _reduced(A, sec), Word(A, letters)
+                problems.append(f"{label}: section at {x} is {got} != {expected}")
                 break
 
 
 def _expect_hand_backs(table: RecursionTable, rows, problems: list[str]) -> None:
     """Each row ``(w, slot, letters, label)`` states that w fixes level one
     and hands back the word with those letters as its section at slot."""
+    A = table.alphabet
+    fixed = tuple(A.indices())
     for w, x, letters, label in rows:
-        wr = wreath(table, w)
-        if not wr.perm.is_identity:
+        if _root_images(table, w) != fixed:
             problems.append(f"{label}: does not stabilize level one")
             continue
-        sec = wr.sections[x - 1]
+        sec, _ = _fold_once(table._steps, w.letters, x)
         letters = tuple(letters)
-        if sec.letters != letters and sec != Word(table.alphabet, letters):
-            problems.append(f"{label}: section at {x} is {sec}")
+        if sec != letters and sec != Word(A, letters).letters:
+            problems.append(f"{label}: section at {x} is {_reduced(A, sec)}")
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +280,7 @@ def check_lemma_chains(table: RecursionTable) -> Report:
     problems = [
         f"{label} has the wrong first-level permutation"
         for w, perm, label in perms
-        if word_permutation(table, w) != perm
+        if _root_images(table, w) != perm.images
     ]
     _expect_hand_backs(table, hand_backs, problems)
     return _finish(
@@ -285,10 +301,10 @@ def check_noncontracting_witness(table: RecursionTable) -> Report:
     is not checked here."""
     g = catalog(table.alphabet.d)["g"]
     problems: list[str] = []
-    wr = wreath(table, g)
-    if wr.perm(1) != 1:
+    sec, image = _fold_once(table._steps, g.letters, 1)
+    if image != 1:
         problems.append("full product moves vertex 1")
-    elif wr.sections[0] != g:
+    elif sec != g.letters:
         problems.append("full product is not its own section at vertex 1")
     return _finish(
         "noncontracting_witness",
@@ -306,7 +322,7 @@ def check_transitivity(table: RecursionTable, max_level: int) -> Report:
     level.  A transitive level maps onto every level above it, so one
     orbit decides levels 1..max_level."""
     d = table.alphabet.d
-    size = len(vertex_orbit(table, (1,) * max_level))
+    size = len(_orbit_numbers(table, (1,) * max_level))
     problems = []
     if size != d**max_level:
         problems.append(f"level {max_level} orbit has size {size} != {d ** max_level}")
@@ -388,17 +404,13 @@ def check_branch_witnesses(table: RecursionTable) -> Report:
     cat = catalog(d)
     problems: list[str] = []
 
-    def fold(w: Word) -> tuple:
-        wr = wreath(table, w)
-        return wr.perm.images, [sec.letters for sec in wr.sections]
-
     if d >= 5:
         for i in range(1, d + 1):
             for j in range(i + 1, d + 1):
                 gap = min((i - j) % d, (j - i) % d)
                 if gap in (1, d - 1):
                     continue
-                if fold(Word(A, (i, j))) != fold(Word(A, (j, i))):
+                if _folds(table, Word(A, (i, j))) != _folds(table, Word(A, (j, i))):
                     problems.append(f"distant generators {i},{j} do not commute")
 
     def pair_perm(j: int) -> Permutation:

@@ -1,5 +1,6 @@
 import pytest
 
+from arbora import family
 from arbora.errors import ArityTooSmall, NameUnavailable
 from arbora.family import build_table, catalog, catalog_word, wrap
 from arbora.tree import Permutation, word_permutation, wreath
@@ -78,6 +79,34 @@ def test_catalog_arity_scoping():
     for name in ("rist_lift_ca", "rist_lift_absq"):
         assert name in catalog(3)
         assert name not in catalog(5)
+
+
+def test_catalog_is_shared_but_each_call_gets_its_own_dict():
+    cat = catalog(3)
+    cat["g"] = cat["h"]
+    del cat["h"]
+    cat["extra"] = cat["g"]
+    assert catalog(3)["g"].letters == (1, 2, 3)
+    assert "h" in catalog(3) and "extra" not in catalog(3)
+    assert catalog(3) is not catalog(3)
+    with pytest.raises(TypeError):
+        catalog(3.0)
+    # the shared words equal, in order, those of a build that skips the cache
+    for d in range(3, 10):
+        assert list(catalog(d).items()) == list(family._catalog.__wrapped__(d).items())
+
+
+def test_a_verifier_run_builds_each_catalog_once():
+    from arbora.verifier import run_all
+
+    # the cache's misses are the builder's calls, one per distinct arity
+    family._catalog.cache_clear()
+    for d in range(3, 10):
+        assert all(rep.ok for rep in run_all(d))
+    for d in range(3, 10):
+        run_all(d)
+    info = family._catalog.cache_info()
+    assert info.misses == info.currsize == 7
 
 
 def test_catalog_word_lookup():

@@ -26,6 +26,7 @@ from arbora.tree import (
     wreath,
     _compose,
     _level,
+    _orbit_numbers,
 )
 from arbora.verifier import check_free_semigroup
 from arbora.words import Alphabet, Word, invert, parse_word
@@ -49,6 +50,20 @@ def test_permutation_validation():
         Permutation((1, 1, 3))
     with pytest.raises(ValueError):
         Permutation((1, 2, 4))
+
+
+def test_products_and_inverses_of_bijections_stay_bijections():
+    # products and inverses skip the public constructor's check, which
+    # still refuses a non-bijection; a product across degrees is refused
+    with pytest.raises(ValueError, match="not a bijection"):
+        Permutation((2, 2, 1))
+    p, q = Permutation((3, 1, 2, 4)), Permutation((2, 4, 1, 3))
+    for r in (p * q, q * p, p.inverse(), (p * q).inverse()):
+        assert r == Permutation(r.images)
+    with pytest.raises(ValueError, match="degrees 3 and 4 differ"):
+        Permutation.identity(3) * Permutation.identity(4)
+    with pytest.raises(ValueError, match="degrees 4 and 3 differ"):
+        p * Permutation((2, 3, 1))
 
 
 def test_permutation_compose_left_to_right():
@@ -274,6 +289,24 @@ def test_vertex_orbit_is_the_closure_under_inverses_too():
         for v in itertools.product(README.alphabet.indices(), repeat=k):
             assert vertex_orbit(README, v) == closure(README, v)
     assert len(vertex_orbit(README, (1, 1))) == 9
+
+
+def test_orbit_numbers_are_the_orbit_in_lexicographic_numbering():
+    # the CLI and the transitivity check count the orbit by its vertex
+    # numbers, a vertex's lexicographic rank on its level; the split
+    # table has several orbits on each level, so a wrong start shows
+    split = load_table("x = (x, e, e) (1 2)\ny = (e, y, e) ()\nz = (e, e, z) ()\n")
+    assert len(vertex_orbit(split, (3,))) == 1
+    for table in (README, split):
+        for k in range(4):
+            level = list(itertools.product(table.alphabet.indices(), repeat=k))
+            for v in level:
+                numbers = _orbit_numbers(table, v)
+                assert {level[u] for u in numbers} == closure(table, v)
+    with pytest.raises(LevelTooLarge):
+        _orbit_numbers(T3, (9,) * 20)
+    with pytest.raises(BadVertex):
+        _orbit_numbers(T3, (1, 4))
 
 
 def test_vertex_orbit_past_a_byte_of_vertices():

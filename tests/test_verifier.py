@@ -325,6 +325,45 @@ def test_rows_read_expected_letters_as_a_word():
     ]
 
 
+def test_row_failures_name_what_broke():
+    # one row per kind of failure, plus unreduced expectations that
+    # match: the exact problem text is part of the report
+    table = build_table(3)
+    A = table.alphabet
+    a, ab, square = Word(A, (1,)), Word(A, (1, 2)), Word(A, (1, 1))
+    s1 = catalog(3)["s_1"]  # fixes level one, section b at vertex 1
+    ident, t12 = Permutation.identity(3), Permutation.transposition(3, 1, 2)
+    problems = []
+    _expect_wreath_rows(
+        table,
+        [
+            (ab, t12, {1: (1,), 2: (2,), 3: (3,)}, "root"),
+            (a, ident, {1: (1,), 2: (2,)}, "generator root"),
+            (square, ident, {1: (1, 3), 2: (2, 1)}, "listed"),
+            (square, ident, {1: (1, 2)}, "unlisted"),
+            (square, ident, {1: (1, 3, -3, 2), 2: (-2, 2, 2, 1)}, "unreduced"),
+        ],
+        problems,
+    )
+    _expect_hand_backs(
+        table,
+        [
+            (a, 1, (1,), "moves"),
+            (s1, 1, (3,), "hand-back"),
+            (s1, 1, (2, 3, -3), "unreduced hand-back"),
+        ],
+        problems,
+    )
+    assert problems == [
+        "root: permutation (1 3 2) != expected (1 2)",
+        "generator root: permutation (1 2) != expected ()",
+        "listed: section at 1 is a b != a c",
+        "unlisted: section at 2 is b a != e",
+        "moves: does not stabilize level one",
+        "hand-back: section at 1 is b",
+    ]
+
+
 def test_closed_forms_never_decide_the_word_problem(monkeypatch):
     # a closed form states a section word, so its check compares letters;
     # it must not be decided by the search whose soundness it supports.
