@@ -64,20 +64,25 @@ class Permutation(_Value):
 
     @classmethod
     def transposition(cls, n: int, i: int, j: int) -> "Permutation":
-        images = list(range(1, n + 1))
-        images[i - 1], images[j - 1] = j, i
-        return cls(tuple(images))
+        return cls.from_cycles(n, [(i, j)])
 
     @classmethod
     def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
-        """Compose the given cycles left to right (first cycle acts first)."""
-        result = cls.identity(n)
+        """Compose the given cycles left to right (first cycle acts first).
+        Raises ValueError on an entry that is not an int in 1..n or a point
+        repeated within one cycle; a cycle of fewer than two points is the
+        identity."""
+        images = list(range(1, n + 1))
         for cycle in cycles:
-            images = list(range(1, n + 1))
-            for pos, x in enumerate(cycle):
-                images[x - 1] = cycle[(pos + 1) % len(cycle)]
-            result = result * cls(tuple(images))
-        return result
+            step: dict[int, int] = {}
+            for x, y in zip(cycle, (*cycle[1:], *cycle[:1])):
+                if type(x) is not int or not 1 <= x <= n:
+                    raise ValueError(f"cycle entry outside 1..{n}")
+                if x in step:
+                    raise ValueError("repeated entry within a cycle")
+                step[x] = y
+            images = [step.get(y, y) for y in images]
+        return _permutation(tuple(images))
 
     def __call__(self, x: int) -> int:
         return self.images[x - 1]
@@ -127,16 +132,11 @@ class Permutation(_Value):
         """Parse e.g. ``(1 2)(3 4)`` or ``()``; entries are space separated."""
         if not re.fullmatch(r"(\([0-9 ]*\)\s*)+", text.strip()):
             raise MalformedToken(f"cannot read cycle notation {text!r}")
-        cycles = []
-        for group in re.findall(r"\(([^()]*)\)", text):
-            entries = [int(tok) for tok in group.split()]
-            if any(x < 1 or x > n for x in entries):
-                raise MalformedToken(f"cycle entry outside 1..{n} in {text!r}")
-            if len(set(entries)) != len(entries):
-                raise MalformedToken(f"repeated entry within a cycle in {text!r}")
-            if len(entries) > 1:
-                cycles.append(entries)
-        return cls.from_cycles(n, cycles)
+        groups = re.findall(r"\(([^()]*)\)", text)
+        try:
+            return cls.from_cycles(n, [[int(x) for x in g.split()] for g in groups])
+        except ValueError as err:
+            raise MalformedToken(f"{err} in {text!r}") from None
 
 
 def _permutation(images: tuple[int, ...]) -> Permutation:
@@ -365,45 +365,56 @@ def _fold_once(steps: dict, letters: tuple[int, ...], x: int):
     return tuple(out[1:]), cur
 
 
-def section(table: RecursionTable, w: Word, v: Sequence[int]) -> Word:
-    """The section of w at vertex v (freely reduced)."""
+def _folds(table: RecursionTable, letters: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """The letters folded at every first-level slot: the tuple of section
+    letters and the tuple of images of 1..d."""
+    folds = [_fold_once(table._steps, letters, x) for x in table.alphabet.indices()]
+    return tuple(zip(*folds))
+
+
+def _root_images(table: RecursionTable, letters: Sequence[int]) -> tuple[int, ...]:
+    """The images of 1..d under the letters, composed on the level-1 row."""
+    return tuple(map((1).__add__, _compose(table._rows[0], letters)))
+
+
+def _walk(table: RecursionTable, w: Word, v: Sequence[int]) -> tuple[tuple, list]:
+    """Fold w down the path to v: the section letters at the end and the
+    images of v's entries, which stop where the section is empty (it
+    fixes the rest of the vertex)."""
     _check_alphabet(table, w)
     check_vertex(v, table.alphabet.d)
-    letters = w.letters
+    letters, images = w.letters, []
     for x in v:
-        letters, _ = _fold_once(table._steps, letters, x)
-    return _reduced(table.alphabet, letters)
+        if not letters:
+            break
+        letters, image = _fold_once(table._steps, letters, x)
+        images.append(image)
+    return letters, images
+
+
+def section(table: RecursionTable, w: Word, v: Sequence[int]) -> Word:
+    """The section of w at vertex v (freely reduced)."""
+    return _reduced(table.alphabet, _walk(table, w, v)[0])
 
 
 def act_vertex(table: RecursionTable, w: Word, v: Sequence[int]) -> Vertex:
     """The image w(v); length preserving."""
-    _check_alphabet(table, w)
-    check_vertex(v, table.alphabet.d)
-    letters = w.letters
-    out = []
-    for x in v:
-        if not letters:
-            # the empty section fixes the rest of the vertex
-            break
-        letters, image = _fold_once(table._steps, letters, x)
-        out.append(image)
-    return (*out, *v[len(out):])
+    images = _walk(table, w, v)[1]
+    return (*images, *v[len(images):])
 
 
 def word_permutation(table: RecursionTable, w: Word) -> Permutation:
     """The permutation induced on the first level."""
     _check_alphabet(table, w)
-    return Permutation(tuple(y + 1 for y in _compose(table._rows[0], w.letters)))
+    return _permutation(_root_images(table, w.letters))
 
 
 def wreath(table: RecursionTable, w: Word) -> WreathRecursion:
     """All first-level sections together with the root permutation."""
     _check_alphabet(table, w)
-    folds = [_fold_once(table._steps, w.letters, x) for x in table.alphabet.indices()]
-    return WreathRecursion(
-        tuple(_reduced(table.alphabet, sec) for sec, _ in folds),
-        Permutation(tuple(image for _, image in folds)),
-    )
+    sections, images = _folds(table, w.letters)
+    words = tuple(_reduced(table.alphabet, s) for s in sections)
+    return WreathRecursion(words, _permutation(images))
 
 
 def _check_level_size(d: int, k: int) -> None:
@@ -438,13 +449,15 @@ def portrait(table: RecursionTable, w: Word, depth: int) -> Portrait:
     d = table.alphabet.d
     _check_level_size(d, depth)
 
-    def build(u: Word, remaining: int) -> Portrait:
+    def build(letters: tuple[int, ...], remaining: int) -> Portrait:
         if remaining == 0:
-            return Portrait(word_permutation(table, u), residual=u)
-        wr = wreath(table, u)
-        return Portrait(wr.perm, tuple(build(s, remaining - 1) for s in wr.sections))
+            perm = _permutation(_root_images(table, letters))
+            return Portrait(perm, residual=_reduced(table.alphabet, letters))
+        sections, images = _folds(table, letters)
+        children = tuple(build(s, remaining - 1) for s in sections)
+        return Portrait(_permutation(images), children)
 
-    return build(w, depth)
+    return build(w.letters, depth)
 
 
 def format_portrait(p: Portrait, names: tuple[str, ...] | None = None) -> str:

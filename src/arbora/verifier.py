@@ -17,13 +17,15 @@ first-level sections; a hand-back row ``(w, slot, letters, label)`` says
 that w fixes level one and has the given section at one slot.  Each
 kind of row is checked by one shared routine.
 
-Both kinds of row are checked on the private fold, _fold_once, and the
-table's level-1 row: a wreath row folds every slot, a hand-back row
-reads its root permutation from the level-1 row and folds only its
-slot.  Each compares the freely reduced section letters with the
-expected word letter for letter, as tuples; only on a mismatch is the
-expected word built and reduced, so an unreduced expectation still
+Both kinds of row are checked on the folds that wreath and
+word_permutation use, imported from tree: a wreath row folds every
+slot (_folds), a hand-back row reads its root permutation from the
+table's level-1 row (_root_images) and folds only its slot
+(_fold_once).  Each compares the freely reduced section letters with
+the expected word letter for letter, as tuples; only on a mismatch is
+the expected word built and reduced, so an unreduced expectation still
 matches, and a Word or Permutation is made only for a failure's text.
+Expected root permutations are written as cycles (from_cycles).
 That is what a closed form states, and it implies equality as group
 elements, so no row asks the word-problem search.  The other group
 identities are folds too: two distant generators commute because their
@@ -54,10 +56,11 @@ from .family import _aligner_factors, build_table, catalog, wrap
 from .tree import (
     Permutation,
     RecursionTable,
-    _compose,
     _fold_once,
+    _folds,
     _level,
     _orbit_numbers,
+    _root_images,
 )
 from .wordproblem import are_equal, is_identity
 from .words import Word, _reduced, _Value, commutator, exponent_vector, invert
@@ -117,40 +120,18 @@ def _skip(check_id: str, reason: str) -> Report:
     return Report(check_id, "skip", reason)
 
 
-def _perm_parity(p: Permutation) -> int:
-    """0 for even, 1 for odd."""
-    moved = sum(len(c) - 1 for c in p.cycles())
-    return moved % 2
-
-
-def _cycle(d: int, points) -> Permutation:
-    """The cycle sending each point to the next (the identity if < 2)."""
-    return Permutation.from_cycles(d, [tuple(points)])
-
-
-def _folds(table: RecursionTable, w: Word) -> list[tuple]:
-    """(section letters, image) of w at each first-level slot, unwrapped."""
-    return [_fold_once(table._steps, w.letters, x) for x in table.alphabet.indices()]
-
-
-def _root_images(table: RecursionTable, w: Word) -> tuple[int, ...]:
-    """The images of w's root permutation, read from the level-1 row."""
-    return tuple(map((1).__add__, _compose(table._rows[0], w.letters)))
-
-
 def _expect_wreath_rows(table: RecursionTable, rows, problems: list[str]) -> None:
     """Each row ``(w, perm, {slot: letters}, label)`` states that w has root
     permutation perm and, at each listed slot, a section equal to the
     word with those letters; every unlisted slot must be trivial."""
     A = table.alphabet
     for w, perm, slots, label in rows:
-        folds = _folds(table, w)
-        images = tuple(image for _, image in folds)
+        sections, images = _folds(table, w.letters)
         if images != perm.images:
             got = Permutation(images)
             problems.append(f"{label}: permutation {got} != expected {perm}")
             continue
-        for x, (sec, _) in enumerate(folds, start=1):
+        for x, sec in enumerate(sections, start=1):
             letters = slots.get(x, ())
             if sec != letters and sec != Word(A, letters).letters:
                 got, expected = _reduced(A, sec), Word(A, letters)
@@ -164,7 +145,7 @@ def _expect_hand_backs(table: RecursionTable, rows, problems: list[str]) -> None
     A = table.alphabet
     fixed = tuple(A.indices())
     for w, x, letters, label in rows:
-        if _root_images(table, w) != fixed:
+        if _root_images(table, w.letters) != fixed:
             problems.append(f"{label}: does not stabilize level one")
             continue
         sec, _ = _fold_once(table._steps, w.letters, x)
@@ -232,9 +213,7 @@ def check_section_tables(table: RecursionTable) -> Report:
             else:
                 plain = {i: (i,), j: (j,), i1: (i1,), j1: (j1,)}
                 mixed = {i: (-i1,), i1: (-i,), j: (j,), j1: (j1,)}
-            perm = Permutation.transposition(d, i, i1) * Permutation.transposition(
-                d, j, j1
-            )
+            perm = Permutation.from_cycles(d, [(i, i1), (j, j1)])
             rows.append((Word(A, (i, j)), perm, plain, f"pair a{i} a{j}"))
             rows.append((Word(A, (-i, j)), perm, mixed, f"pair a{i}' a{j}"))
     problems: list[str] = []
@@ -259,8 +238,8 @@ def check_lemma_chains(table: RecursionTable) -> Report:
     cat = catalog(d)
     g, h = cat["g"], cat["h"]
     perms = [
-        (g, _cycle(d, range(d, 1, -1)), "full product"),
-        (h, _cycle(d, (1, 2, *range(4, d + 1))), "chain seed"),
+        (g, [range(d, 1, -1)], "full product"),
+        (h, [(1, 2, *range(4, d + 1))], "chain seed"),
     ]
     hand_backs = [
         (g ** (d - 1), 2, h.letters, "g**(d-1)"),
@@ -269,9 +248,9 @@ def check_lemma_chains(table: RecursionTable) -> Report:
     ]
     for i in range(1, d + 1):
         points = (1, 2) if i == 1 else (i + 1, 2, 1) if i < d else ()
-        perms.append((cat[f"h_{i}"], _cycle(d, points), f"climb element {i}"))
+        perms.append((cat[f"h_{i}"], [points], f"climb element {i}"))
     for i in range(1, d):
-        perms.append((cat[f"g_{i}"], _cycle(d, range(i + 1, 0, -1)), f"prefix {i}"))
+        perms.append((cat[f"g_{i}"], [range(i + 1, 0, -1)], f"prefix {i}"))
         target = cat[f"h_{i + 1}"].letters
         hand_backs += [
             (cat[f"h_{i}"] ** (2 if i == 1 else 3), 1, target, f"climb {i} power"),
@@ -279,8 +258,8 @@ def check_lemma_chains(table: RecursionTable) -> Report:
         ]
     problems = [
         f"{label} has the wrong first-level permutation"
-        for w, perm, label in perms
-        if _root_images(table, w) != perm.images
+        for w, cycles, label in perms
+        if _root_images(table, w.letters) != Permutation.from_cycles(d, cycles).images
     ]
     _expect_hand_backs(table, hand_backs, problems)
     return _finish(
@@ -350,7 +329,7 @@ def check_fractal_witnesses(table: RecursionTable) -> Report:
     # the rotated product is its own section at vertex 2
     h = cat["h_frac"]
     slots = {1: (1,), 2: h.letters, 3: (3, 2)} | {j: (j,) for j in range(4, d + 1)}
-    lam_h = _cycle(d, (*range(d, 2, -1), 1))
+    lam_h = Permutation.from_cycles(d, [(*range(d, 2, -1), 1)])
     _expect_wreath_rows(table, [(h, lam_h, slots, "rotated product")], problems)
 
     s = {i: cat[f"s_{i}"] for i in range(1, d)}
@@ -410,29 +389,29 @@ def check_branch_witnesses(table: RecursionTable) -> Report:
                 gap = min((i - j) % d, (j - i) % d)
                 if gap in (1, d - 1):
                     continue
-                if _folds(table, Word(A, (i, j))) != _folds(table, Word(A, (j, i))):
+                if _folds(table, (i, j)) != _folds(table, (j, i)):
                     problems.append(f"distant generators {i},{j} do not commute")
 
-    def pair_perm(j: int) -> Permutation:
-        """(j j+2)(j+1 j+3), the inverse of the balancer xi_j's permutation."""
-        t = Permutation.transposition
-        return t(d, j, wrap(d, j + 2)) * t(d, wrap(d, j + 1), wrap(d, j + 3))
+    def pair(j: int) -> list[tuple[int, int]]:
+        """The cycles of (j j+2)(j+1 j+3), the inverse of the balancer
+        xi_j's permutation; reversed, they compose to that permutation."""
+        return [(j, wrap(d, j + 2)), (wrap(d, j + 1), wrap(d, j + 3))]
 
     ident = Permutation.identity(d)
     rows = []
     for i in range(1, d + 1):
         i1, i2 = wrap(d, i + 1), wrap(d, i + 2)
         beta, xi, gbr = cat[f"beta_{i}"], cat[f"xi_{i}"], cat[f"gbr_{i}"]
-        lam = ident
-        for j in _aligner_factors(d, i):
-            lam = lam * pair_perm(j).inverse()
+        factors = [c for j in _aligner_factors(d, i) for c in pair(j)[::-1]]
+        lam = Permutation.from_cycles(d, factors)
         K = commutator(Word(A, (i, i)), Word(A, (i1,)))
         Ka = K.conjugated(Word(A, (i,)))
         rows += [
-            (beta, _cycle(d, (i, i1, i2)), {i: (-i1,), i1: (i1,)}, f"commutator {i}"),
-            (beta * cat[f"beta_{i1}"], pair_perm(i), {i: (-i1, -i2), i1: (i1, i2)},
-             f"commutator pair {i}"),
-            (xi, pair_perm(i).inverse(), {}, f"balancer {i}"),
+            (beta, Permutation.from_cycles(d, [(i, i1, i2)]), {i: (-i1,), i1: (i1,)},
+             f"commutator {i}"),
+            (beta * cat[f"beta_{i1}"], Permutation.from_cycles(d, pair(i)),
+             {i: (-i1, -i2), i1: (i1, i2)}, f"commutator pair {i}"),
+            (xi, Permutation.from_cycles(d, pair(i)[::-1]), {}, f"balancer {i}"),
             (K, ident, {i1: (-i, -i1), i2: (i, i1)}, f"square commutator {i}"),
             (Ka, ident, {i: (-i1, -i), i2: (i, i1)},
              f"conjugated square commutator {i}"),
@@ -588,7 +567,7 @@ def check_parity_and_even_d(
     problems = [
         f"permutation parity disagrees with length for {name}"
         for name, perm in zip(table3.names, table3.perms)
-        if _perm_parity(perm) != 1
+        if sum(len(c) - 1 for c in perm.cycles()) % 2 != 1
     ]
 
     w4 = catalog(4)["w4"]
@@ -638,5 +617,7 @@ def run_all(d: int) -> list[Report]:
         if d == 3
         else _skip("hk_and_branch", "count-congruence classes live at arity 3")
     )
-    reports.append(check_parity_and_even_d(build_table(3), build_table(4)))
+    # the parity check reads both small tables; the one of arity d is at hand
+    tables = [table if k == d else build_table(k) for k in (3, 4)]
+    reports.append(check_parity_and_even_d(*tables))
     return reports

@@ -354,6 +354,9 @@ def _read_tokens(
             index = table.get(body)
             if index is None:
                 raise UnknownGenerator(f"unknown generator {body!r} for arity {d}")
+            # 1.0 and True compare like 1 but are no letter, as in Word()
+            if type(index) is not int:
+                raise UnknownGenerator(f"index {index!r} of {body!r} is not an int")
             letter = index * sign * (1 if exponent >= 0 else -1)
             run = abs(exponent)
             if run and (letter == 0 or abs(letter) > d):

@@ -95,6 +95,59 @@ def test_permutation_from_cycles_composes_in_order():
     assert q(5) == 4 and q(4) == 3 and q(3) == 5
 
 
+def _cycles_one_by_one(n, cycles):
+    """The product of one validated Permutation per cycle, left to right."""
+    result = Permutation.identity(n)
+    for cycle in cycles:
+        images = list(range(1, n + 1))
+        for pos, x in enumerate(cycle):
+            images[x - 1] = cycle[(pos + 1) % len(cycle)]
+        result = result * Permutation(tuple(images))
+    return result
+
+
+@st.composite
+def cycle_lists(draw):
+    n = draw(st.integers(1, 6))
+    cycle = st.lists(st.integers(1, n), unique=True, max_size=n)
+    return n, draw(st.lists(cycle, max_size=4))
+
+
+@given(cycle_lists())
+@settings(max_examples=150)
+def test_from_cycles_is_the_product_of_its_cycles(case):
+    n, cycles = case
+    p = Permutation.from_cycles(n, cycles)
+    assert p == _cycles_one_by_one(n, cycles)
+    assert p == Permutation(p.images)
+
+
+@pytest.mark.parametrize("pair", [(1, 4), (0, 2), (3, -1), (7, 9), (1.0, 2), (2, True)])
+def test_from_cycles_refuses_an_entry_outside_the_degree(pair):
+    with pytest.raises(ValueError, match=r"^cycle entry outside 1\.\.3$"):
+        Permutation.from_cycles(3, [(1, 2), pair])
+    with pytest.raises(ValueError, match=r"^cycle entry outside 1\.\.3$"):
+        Permutation.transposition(3, *pair)
+    bad = next(x for x in pair if x not in (1, 2, 3) or type(x) is not int)
+    with pytest.raises(ValueError, match=r"^cycle entry outside 1\.\.3$"):
+        Permutation.from_cycles(3, [(bad,)])  # a one-point cycle too
+
+
+def test_from_cycles_refuses_a_point_repeated_within_a_cycle():
+    with pytest.raises(ValueError, match="^repeated entry within a cycle$"):
+        Permutation.from_cycles(3, [(1, 1, 2)])
+    with pytest.raises(ValueError, match="^repeated entry within a cycle$"):
+        Permutation.transposition(3, 2, 2)
+    # a point may recur in different cycles
+    assert Permutation.from_cycles(3, [(1, 2), (2, 1)]).is_identity
+    # the cycle string names the text it could not read
+    outside, repeated = "cycle entry outside 1..3", "repeated entry within a cycle"
+    for text, error in [("(1 4)", outside), ("(3)(5)", outside), ("(1 2 1)", repeated)]:
+        with pytest.raises(MalformedToken) as info:
+            Permutation.from_cycle_string(3, text)
+        assert str(info.value) == f"{error} in {text!r}"
+
+
 def test_cycle_string_roundtrip():
     for text, n in [("(1 3 2)", 3), ("()", 3), ("(1 2)(4 5)", 5)]:
         p = Permutation.from_cycle_string(n, text)
@@ -351,6 +404,40 @@ def test_load_table_errors():
         load_table("e = (e, e, e) ()\nb = (e, b, c) (2 3)\nc = (a, e, c) (3 1)")
     with pytest.raises(MalformedToken):
         load_table("a = (a, b, e) (1 5)\nb = (e, b, c) (2 3)\nc = (a, e, c) (3 1)")
+
+
+e3 = Word(T3.alphabet)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((T3.names[:2], T3.sections, T3.perms),
+         "table must have exactly 3 generator rows"),
+        ((("a", "b", "a"), T3.sections, T3.perms),
+         "generator names must be unique and not 'e'"),
+        ((("a", "b", "e"), T3.sections, T3.perms),
+         "generator names must be unique and not 'e'"),
+        ((T3.names, (T3.sections[0][:2], *T3.sections[1:]), T3.perms),
+         "each generator needs 3 section words"),
+        ((T3.names, ((Word(Alphabet(4), (1,)), e3, e3), *T3.sections[1:]), T3.perms),
+         "section word over a different alphabet"),
+        ((T3.names, T3.sections, (*T3.perms[:2], Permutation.identity(4))),
+         "permutation degree 4 != 3"),
+    ],
+    ids=["rows", "repeated name", "name e", "sections", "alphabet", "degree"],
+)
+def test_table_refusals(fields, message):
+    with pytest.raises(MalformedToken) as info:
+        RecursionTable(T3.alphabet, *fields)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("line", ["a = a, b, e (1 2)", "a = (a, b, e (1 2"])
+def test_load_table_refuses_a_line_without_its_section_list(line):
+    with pytest.raises(MalformedToken) as info:
+        load_table(f"{line}\nb = (e, b, c) (2 3)\nc = (a, e, c) (3 1)")
+    assert str(info.value) == f"missing section list in table line {line!r}"
 
 
 def test_degree_is_capped_at_256():

@@ -389,6 +389,21 @@ def test_closed_forms_never_decide_the_word_problem(monkeypatch):
     assert check_parity_and_even_d(build_table(3), build_table(4)).status == "pass"
 
 
+def test_branch_witnesses_catch_distant_generators_that_do_not_commute():
+    # a1 gains the section a3 at slot 3, where a3 acts, so a1 a3 and a3 a1
+    # differ there; a1 still commutes with a4
+    table = build_table(5)
+    A = table.alphabet
+    row = (*table.sections[0][:2], Word(A, (3,)), *table.sections[0][3:])
+    sections = (row, *table.sections[1:])
+    broken = RecursionTable(A, table.names, sections, table.perms)
+    report = check_branch_witnesses(broken)
+    assert report.status == "fail"
+    assert report.detail.startswith("distant generators 1,3 do not commute; ")
+    assert "distant generators 1,4" not in report.detail
+    assert check_branch_witnesses(table).status == "pass"
+
+
 def test_report_ok_property():
     assert Report("x", "pass", "fine").ok
     assert Report("x", "skip", "elsewhere").ok

@@ -373,9 +373,12 @@ def test_custom_names_share_one_cached_token_table():
     assert _cached_tokens.cache_info().hits == hits + 1
     names["y"] = 3  # an edited map is read afresh
     assert parse_word("x y'", A3, names).letters == (1, -3)
-    # 1.0 equals 1 but is no plain token's index, so it takes its own entry
+    # 1.0 equals 1 but is no letter's index: it takes its own entry and
+    # is refused, not read as the letter cached for {"x": 1}
     parse_word("x", A3, {"x": 1})
-    assert type(parse_word("x", A3, {"x": 1.0}).letters[0]) is float
+    for index in (1.0, True):
+        with pytest.raises(UnknownGenerator, match=f"index {index!r} of 'x' is not"):
+            parse_word("x", A3, {"x": index})
     # unhashable items are read without the cache
     assert parse_word("x y'", A3, {"x": 1, "y": 2, "z": [3]}).letters == (1, -2)
 
