@@ -42,8 +42,11 @@ def _add_table_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_table(args) -> RecursionTable:
-    if getattr(args, "table", None):
-        table = load_table_file(args.table)
+    if args.table:
+        try:
+            table = load_table_file(args.table)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ArboraError(f"cannot read --table: {exc}") from exc
         if args.d is not None and args.d != table.alphabet.d:
             raise ArboraError(
                 f"--d {args.d} conflicts with the {table.alphabet.d}-generator table"
@@ -86,12 +89,15 @@ def _positive(option: str, value: int | None) -> int | None:
 
 
 def _iter_words(args, table: RecursionTable):
-    if getattr(args, "words_file", None):
-        with open(args.words_file, "r", encoding="utf-8") as fh:
-            for line in fh:
-                text = line.split("#", 1)[0].strip()
-                if text:
-                    yield _parse(table, text)
+    if args.words_file:
+        try:
+            with open(args.words_file, "r", encoding="utf-8") as fh:
+                for line in fh:
+                    text = line.split("#", 1)[0].strip()
+                    if text:
+                        yield _parse(table, text)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ArboraError(f"cannot read --words-file: {exc}") from exc
     elif args.word is not None:
         yield _parse(table, args.word)
     else:
@@ -117,7 +123,7 @@ def cmd_section(args) -> int:
 def cmd_identity(args) -> int:
     table = _resolve_table(args)
     budget = _positive("--max-nodes", args.max_nodes)
-    batch = bool(getattr(args, "words_file", None))
+    batch = bool(args.words_file)
     for w in _iter_words(args, table):
         decision = is_identity(table, w, budget)
         verdict = "identity" if decision.is_identity else "nonidentity"
@@ -180,8 +186,8 @@ def cmd_free_semigroup(args) -> int:
     report = check_free_semigroup(table, _positive("--max-len", args.max_len))
     status = "PASS" if report.ok else "FAIL"
     print(
-        f"words={report.data.get('words', 0)} "
-        f"pairs={report.data.get('pairs_checked', 0)} {status}"
+        f"words={report.data['words']} "
+        f"pairs={report.data['pairs_checked']} {status}"
     )
     if not report.ok:
         print(report.detail, file=sys.stderr)

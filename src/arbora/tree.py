@@ -201,9 +201,11 @@ class RecursionTable(_Value):
             raise MalformedToken(f"table must have exactly {d} generator rows")
         if len(set(names)) != d or "e" in names:
             raise MalformedToken("generator names must be unique and not 'e'")
-        for row in sections:
+        for name, row in zip(names, sections):
             if len(row) != d:
-                raise MalformedToken(f"each generator needs {d} section words")
+                raise MalformedToken(
+                    f"generator {name!r} has {len(row)} sections, needs {d}"
+                )
             for w in row:
                 if w.alphabet is not alphabet and w.alphabet != alphabet:
                     raise MalformedToken("section word over a different alphabet")
@@ -550,11 +552,7 @@ def load_table(text: str) -> RecursionTable:
     name_map = {name: i for i, name in enumerate(names, start=1)}
     sections = []
     perms = []
-    for name, section_texts, cycle_text in rows:
-        if len(section_texts) != d:
-            raise MalformedToken(
-                f"generator {name!r} has {len(section_texts)} sections, needs {d}"
-            )
+    for _, section_texts, cycle_text in rows:
         sections.append(
             tuple(parse_word(t, alphabet, name_map) for t in section_texts)
         )

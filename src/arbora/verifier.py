@@ -356,11 +356,6 @@ def check_fractal_witnesses(table: RecursionTable) -> Report:
         recover = prev_even * invert(odd_run)
         rows.append((recover, 1, (2 * i + 1,), f"recover a_{2 * i + 1}"))
     _expect_hand_backs(table, rows, problems)
-
-    # the generators handed back on their own
-    recovered = {t[0] for _, _, t, _ in rows if len(t) == 1}
-    if recovered != set(range(1, d + 1)):
-        problems.append(f"only recovered generators {sorted(recovered)}")
     return _finish(
         "fractal_witnesses",
         problems,
@@ -386,8 +381,7 @@ def check_branch_witnesses(table: RecursionTable) -> Report:
     if d >= 5:
         for i in range(1, d + 1):
             for j in range(i + 1, d + 1):
-                gap = min((i - j) % d, (j - i) % d)
-                if gap in (1, d - 1):
+                if j - i in (1, d - 1):
                     continue
                 if _folds(table, (i, j)) != _folds(table, (j, i)):
                     problems.append(f"distant generators {i},{j} do not commute")
@@ -615,7 +609,7 @@ def run_all(d: int) -> list[Report]:
     reports.append(
         check_hk_and_branch(table)
         if d == 3
-        else _skip("hk_and_branch", "count-congruence classes live at arity 3")
+        else _skip("hk_and_branch", "first-slot lifts are stated at arity 3")
     )
     # the parity check reads both small tables; the one of arity d is at hand
     tables = [table if k == d else build_table(k) for k in (3, 4)]

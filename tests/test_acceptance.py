@@ -182,7 +182,7 @@ def test_09_transitivity():
             assert len(vertex_orbit(T5, (1,) * k)) == 5**k
 
 
-def test_10_hk_lifts_and_cosets():
+def test_10_first_slot_lifts():
     with budget(10, 60.0, "first-slot lifts fold to their stated sections"):
         report = check_hk_and_branch(T3)
         assert report.status == "pass", report.detail

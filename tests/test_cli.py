@@ -235,6 +235,30 @@ def test_usage_errors(capsys):
     assert run(capsys, "identity", "--d", "3", "--max-nodes", "0", "a")[0] == 2
 
 
+@pytest.mark.parametrize("command", ["catalog", "free-semigroup", "verify-paper"])
+def test_family_commands_need_d(capsys, command):
+    assert run(capsys, command) == (2, "", "error: --d is required\n")
+
+
+@pytest.mark.parametrize(
+    "option, make",
+    [
+        ("--words-file", lambda path: None),
+        ("--table", lambda path: path.mkdir()),
+        ("--words-file", lambda path: path.write_bytes(b"a \xff b\n")),
+    ],
+    ids=["missing", "directory", "not utf-8"],
+)
+def test_an_unreadable_input_file_is_an_error(capsys, tmp_path, option, make):
+    # exit 1 means a verification failure, so a file that cannot be read
+    # is malformed input (exit 2), with no traceback
+    path = tmp_path / "input"
+    make(path)
+    code, out, err = run(capsys, "identity", "--d", "3", option, str(path), "a")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {option}: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

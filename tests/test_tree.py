@@ -419,7 +419,7 @@ e3 = Word(T3.alphabet)
         ((("a", "b", "e"), T3.sections, T3.perms),
          "generator names must be unique and not 'e'"),
         ((T3.names, (T3.sections[0][:2], *T3.sections[1:]), T3.perms),
-         "each generator needs 3 section words"),
+         "generator 'a' has 2 sections, needs 3"),
         ((T3.names, ((Word(Alphabet(4), (1,)), e3, e3), *T3.sections[1:]), T3.perms),
          "section word over a different alphabet"),
         ((T3.names, T3.sections, (*T3.perms[:2], Permutation.identity(4))),

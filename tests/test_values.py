@@ -23,6 +23,7 @@ from arbora import (
     portrait,
     wreath,
 )
+from arbora import verifier
 from arbora.verifier import Report
 
 A3 = Alphabet(3)
@@ -158,18 +159,35 @@ def test_importing_arbora_loads_no_dataclasses():
     assert proc.stdout == "[] []\n"
 
 
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _bench_constant(text: str, name: str):
+    """The literal that bench/run.py assigns to a module-level name."""
+    return next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(text).body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == name
+    )
+
+
 def test_the_benchmark_reads_its_names_from_the_package_root():
     # bench/run.py cuts verify-suite calls at the SPLIT_AT functions it
     # finds on ``arbora`` and silently skips a missing one, which would
     # change what verify_s measures
-    bench = Path(__file__).resolve().parent.parent / "bench"
-    text = (bench / "run.py").read_text(encoding="utf-8")
-    split_at = next(
-        ast.literal_eval(node.value)
-        for node in ast.parse(text).body
-        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "SPLIT_AT"
-    )
+    text = (BENCH / "run.py").read_text(encoding="utf-8")
+    split_at = _bench_constant(text, "SPLIT_AT")
     others = ("load_table", "parse_word", "Word", "cyclic_normalize")
-    sources = text + (bench / "tables.py").read_text(encoding="utf-8")
+    sources = text + (BENCH / "tables.py").read_text(encoding="utf-8")
     assert split_at and all(f".{name}" in sources for name in others)
     assert [name for name in (*split_at, *others) if not hasattr(arbora, name)] == []
+
+
+def test_the_benchmark_times_every_check_by_its_id():
+    # bench/run.py times each check through check_<id> for the ids of its
+    # own CHECK_IDS and silently skips an id with no such function, so a
+    # renamed check would lose its per-layer span
+    text = (BENCH / "run.py").read_text(encoding="utf-8")
+    check_ids = _bench_constant(text, "CHECK_IDS")
+    assert check_ids == verifier.CHECK_IDS
+    assert [c for c in check_ids if not hasattr(verifier, f"check_{c}")] == []

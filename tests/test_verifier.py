@@ -65,6 +65,24 @@ def test_individual_checks_at_larger_odd_arities():
     assert check_noncontracting_witness(build_table(6)).ok
 
 
+@pytest.mark.parametrize("d", [3, 5, 7, 9])
+def test_fractal_rows_hand_back_every_generator(monkeypatch, d):
+    # the fractal check's hand-back rows with a one-letter target recover
+    # each generator at vertex 1: the leftover after the even run gives 1,
+    # the odd run through 1 and the closing witness give 2, and the
+    # "recover a_k" rows give 3..d
+    passed = []
+
+    def recording(table, rows, problems):
+        passed.extend(rows)
+        _expect_hand_backs(table, rows, problems)
+
+    monkeypatch.setattr("arbora.verifier._expect_hand_backs", recording)
+    assert check_fractal_witnesses(build_table(d)).status == "pass"
+    targets = [tuple(letters) for _, _, letters, _ in passed]
+    assert {t[0] for t in targets if len(t) == 1} == set(range(1, d + 1))
+
+
 def test_lemma_chain_preconditions():
     with pytest.raises(ValueError):
         check_lemma_chains(build_table(4))
