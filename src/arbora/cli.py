@@ -90,6 +90,8 @@ def _positive(option: str, value: int | None) -> int | None:
 
 def _iter_words(args, table: RecursionTable):
     if args.words_file:
+        if args.word is not None:
+            raise ArboraError("give a word or --words-file, not both")
         try:
             with open(args.words_file, "r", encoding="utf-8") as fh:
                 for line in fh:

@@ -50,7 +50,9 @@ class Permutation(_Value):
 
     def __init__(self, images: tuple[int, ...]) -> None:
         n = len(images)
-        if sorted(images) != list(range(1, n + 1)):
+        # 2.0 and True sort and compare like 2 and 1 but are no point
+        if (any(type(x) is not int for x in images)
+                or sorted(images) != list(range(1, n + 1))):
             raise ValueError(f"not a bijection of 1..{n}: {images}")
         _set(self, "images", images)
 
@@ -280,7 +282,7 @@ def _images(steps: dict, kept: tuple, letters: tuple[int, ...], k: int) -> list[
 @cache
 def _array_row() -> type:
     """The row type of levels with more than 256 vertices, made on first
-    use: importing array adds about 1 ms to a process that needs none."""
+    use: importing array adds about 0.3 ms to a process that needs none."""
     from array import array
 
     class _ArrayRow(array):

@@ -81,13 +81,14 @@ class _Value:
 class Alphabet(_Value):
     """The generating set {a_1, ..., a_d} of the degree-d group."""
 
-    __slots__ = ("d", "_letters")
+    __slots__ = ("d",)
 
     def __init__(self, d: int) -> None:
+        if type(d) is not int:
+            raise TypeError(f"arity must be an int, got {d!r}")
         if d < 3:
             raise ArityTooSmall(f"arity must be at least 3, got {d}")
         _set(self, "d", d)
-        _set(self, "_letters", frozenset(range(-d, d + 1)) - {0})
 
     def indices(self) -> range:
         return range(1, self.d + 1)
@@ -114,17 +115,13 @@ class Word(_Value):
 
     def __init__(self, alphabet: Alphabet, letters: Iterable[int] = ()) -> None:
         letters = tuple(letters)
-        # 1.0 and True hash and compare like 1, so the types are tested too,
-        # first, so that an unhashable letter is named rather than hashed
-        if not ({*map(type, letters)} <= {int}
-                and alphabet._letters.issuperset(letters)):
-            # only a word that fails the set tests is walked, to name a bad letter
-            d = alphabet.d
-            for bad in letters:
-                if type(bad) is not int or bad == 0 or abs(bad) > d:
-                    raise UnknownGenerator(
-                        f"letter {bad!r} outside +-1..{d} of the alphabet"
-                    )
+        d = alphabet.d
+        for bad in letters:
+            # 1.0 and True compare like 1 but are no letter
+            if type(bad) is not int or bad == 0 or abs(bad) > d:
+                raise UnknownGenerator(
+                    f"letter {bad!r} outside +-1..{d} of the alphabet"
+                )
         _set(self, "alphabet", alphabet)
         _set(self, "letters", reduce_letters(letters))
 
@@ -275,13 +272,6 @@ def _plain_tokens(names: Mapping[str, int], d: int) -> dict[str, int]:
 
 
 @lru_cache(maxsize=32)
-def _cached_tokens(items: tuple, types: tuple, d: int) -> dict[str, int]:
-    """_plain_tokens of a name map's items.  The index types are part of
-    the key: 1, 1.0 and True are equal keys but not equal indices."""
-    return _plain_tokens(dict(items), d)
-
-
-@lru_cache(maxsize=32)
 def _default_tokens(d: int) -> tuple[dict[str, int], dict[str, int]]:
     """The canonical names (plus the d = 3 aliases) and their plain tokens."""
     names = {f"a{i}": i for i in range(1, d + 1)}
@@ -303,13 +293,7 @@ def parse_word(
     if names is None:
         table, tokens = _default_tokens(d)
     else:
-        table = names
-        try:
-            tokens = _cached_tokens(
-                tuple(names.items()), tuple(map(type, names.values())), d
-            )
-        except TypeError:  # unhashable items: build the tokens afresh
-            tokens = _plain_tokens(names, d)
+        table, tokens = names, _plain_tokens(names, d)
     parts = text.split()
     try:
         letters = list(map(tokens.__getitem__, parts))

@@ -83,6 +83,15 @@ def test_identity_requires_a_word(capsys):
     assert code == 2 and "word" in err
 
 
+@pytest.mark.parametrize("command", ["identity", "expsum"])
+def test_a_word_and_a_words_file_are_refused_together(capsys, tmp_path, command):
+    # the file's words would be decided and the word silently dropped
+    path = tmp_path / "words.txt"
+    path.write_text("b\n")
+    assert run(capsys, command, "--d", "3", "--words-file", str(path), "a") == (
+        2, "", "error: give a word or --words-file, not both\n")
+
+
 def test_eval_and_section(capsys):
     code, out, _ = run(capsys, "eval", "--d", "3", "a b", "11")
     assert (code, out.strip()) == (0, "33")
@@ -254,7 +263,8 @@ def test_an_unreadable_input_file_is_an_error(capsys, tmp_path, option, make):
     # is malformed input (exit 2), with no traceback
     path = tmp_path / "input"
     make(path)
-    code, out, err = run(capsys, "identity", "--d", "3", option, str(path), "a")
+    word = ("a",) if option == "--table" else ()
+    code, out, err = run(capsys, "identity", "--d", "3", option, str(path), *word)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot read {option}: ") and err.count("\n") == 1
 

@@ -50,6 +50,10 @@ def test_permutation_validation():
         Permutation((1, 1, 3))
     with pytest.raises(ValueError):
         Permutation((1, 2, 4))
+    # 2.0 and True sort like 2 and 1, but str() and inverse() need ints
+    for images in ((2.0, 1, 3), (True, 2, 3)):
+        with pytest.raises(ValueError, match="not a bijection"):
+            Permutation(images)
 
 
 def test_products_and_inverses_of_bijections_stay_bijections():

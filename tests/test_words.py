@@ -19,7 +19,6 @@ from arbora.words import (
     format_word,
     invert,
     parse_word,
-    _cached_tokens,
 )
 
 A3 = Alphabet(3)
@@ -37,6 +36,13 @@ def words(draw, d=3, max_len=12):
 def test_alphabet_rejects_small_arity():
     with pytest.raises(ArityTooSmall):
         Alphabet(2)
+
+
+def test_alphabet_rejects_an_arity_that_is_not_an_int():
+    # 3.0 and True compare like 3 and 1; neither is an arity
+    for d in (3.0, "3", True):
+        with pytest.raises(TypeError, match="arity must be an int"):
+            Alphabet(d)
 
 
 def test_free_reduction_on_construction():
@@ -71,6 +77,7 @@ def test_word_takes_any_iterable_of_letters():
     assert Word(A3, (l for l in (1, 2))).letters == (1, 2)
     assert Word(A3, iter([1, -1, 3])).letters == (3,)
     assert Word(A3, [-3, 2]) == Word(A3, (-3, 2))
+    assert Word(A3, Word(A3, (1, -2))).letters == (1, -2)
 
 
 def test_invert_and_concat():
@@ -365,21 +372,16 @@ def test_parse_reads_a_general_token_anywhere(at, token, expected, names):
         assert parse_word(text, A3, names) == Word(A3, tuple(letters))
 
 
-def test_custom_names_share_one_cached_token_table():
+def test_custom_names_are_read_on_each_call():
     names = {"x": 1, "y": 2}
-    parse_word("x", A3, names)
-    hits = _cached_tokens.cache_info().hits
     assert parse_word("x y'", A3, dict(names)).letters == (1, -2)
-    assert _cached_tokens.cache_info().hits == hits + 1
     names["y"] = 3  # an edited map is read afresh
     assert parse_word("x y'", A3, names).letters == (1, -3)
-    # 1.0 equals 1 but is no letter's index: it takes its own entry and
-    # is refused, not read as the letter cached for {"x": 1}
-    parse_word("x", A3, {"x": 1})
+    # 1.0 and True equal 1 but are no letter's index
     for index in (1.0, True):
         with pytest.raises(UnknownGenerator, match=f"index {index!r} of 'x' is not"):
             parse_word("x", A3, {"x": index})
-    # unhashable items are read without the cache
+    # unhashable items are read
     assert parse_word("x y'", A3, {"x": 1, "y": 2, "z": [3]}).letters == (1, -2)
 
 
