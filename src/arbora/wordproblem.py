@@ -15,10 +15,13 @@ cores it has already expanded:
   2. otherwise the section is cyclically normalized, which rotates a
      core holding letters of both signs to end in an inverse-then-plain
      pair.  A core that does not end so has letters of one sign only and
-     is taken as nontrivial: positive words generate a free semigroup in
-     the built-in family, and conjugates inherit that.  This is a theorem
-     about the family only; on other tables (the README's example, where
-     y acts trivially) it misjudges;
+     is taken as nontrivial.  This one-sign rule rests on a claim that is
+     not proved: that no nonempty positive word of the built-in family
+     acts trivially (conjugates and inverses would inherit it).  It is no
+     free-semigroup theorem, as at d >= 4 distant generators commute
+     (a1 a3 = a3 a1), and at d = 3 freeness is checked only up to a
+     length.  On other tables (the README's example, where y acts
+     trivially) the rule misjudges.  ROADMAP.md item 1 deletes it;
   3. otherwise the section's normalized core is expanded once: its d
      sections are pushed, each folded only when it is popped, and empty
      sections are skipped;

@@ -12,7 +12,7 @@ internal ``_reduced`` without checking again.
 Text form: tokens separated by whitespace, each token a generator name,
 an optional trailing apostrophe for the inverse, and an optional
 caret-integer repetition, e.g. ``a1^3`` or ``a1'^2`` (meaning the square
-of the inverse).  Generator names are ``a1..a9``; the aliases ``a b c``
+of the inverse).  Generator names are ``a1..ad``; the aliases ``a b c``
 are accepted and printed when d = 3.  The token ``e`` denotes the empty
 word.
 """
@@ -250,34 +250,14 @@ def canonical_names(alphabet: Alphabet) -> tuple[str, ...]:
     return tuple(f"a{i}" for i in alphabet.indices())
 
 
-def _plain_tokens(names: Mapping[str, int], d: int) -> dict[str, int]:
-    """``name`` and ``name'`` -> letter, for the names with an index in 1..d.
-
-    A name that the token reader never looks up (empty, ``e``, or holding
-    ``'`` or ``^``) is left out, so such a token still takes the general
-    path and fails the same way."""
-    tokens: dict[str, int] = {}
-    for name, index in names.items():
-        if (
-            isinstance(name, str)
-            and type(index) is int
-            and 1 <= index <= d
-            and name not in ("", "e")
-            and "'" not in name
-            and "^" not in name
-        ):
-            tokens[name] = index
-            tokens[name + "'"] = -index
-    return tokens
-
-
 @lru_cache(maxsize=32)
-def _default_tokens(d: int) -> tuple[dict[str, int], dict[str, int]]:
-    """The canonical names (plus the d = 3 aliases) and their plain tokens."""
+def _default_tokens(d: int) -> dict[str, int]:
+    """The canonical names (plus the d = 3 aliases) and their inverses as
+    tokens: ``name`` -> index, ``name'`` -> -index."""
     names = {f"a{i}": i for i in range(1, d + 1)}
     if d == 3:
         names.update({"a": 1, "b": 2, "c": 3})
-    return names, _plain_tokens(names, d)
+    return names | {name + "'": -index for name, index in names.items()}
 
 
 def parse_word(
@@ -287,18 +267,19 @@ def parse_word(
 
     ``names`` maps generator names to indices; by default the canonical
     names (plus the d = 3 aliases) are used.  Custom recursion tables
-    pass their own name set.
+    pass their own name set, which is only looked up, name by name.
     """
     d = alphabet.d
-    if names is None:
-        table, tokens = _default_tokens(d)
-    else:
-        table, tokens = names, _plain_tokens(names, d)
     parts = text.split()
+    if names is not None:
+        # no token is known whole: a name holding ' or ^, or named e, is
+        # read as the reader splits it
+        return _reduced(alphabet, _read_tokens(parts, names, {}, d))
+    tokens = _default_tokens(d)
     try:
         letters = list(map(tokens.__getitem__, parts))
     except KeyError:
-        return _reduced(alphabet, _read_tokens(parts, table, tokens, d))
+        return _reduced(alphabet, _read_tokens(parts, tokens, tokens, d))
     if len(letters) > MAX_WORD_LETTERS:
         raise MalformedToken(f"word exceeds the {MAX_WORD_LETTERS} letter cap")
     return _reduced(alphabet, reduce_letters(letters))
@@ -307,8 +288,9 @@ def parse_word(
 def _read_tokens(
     parts: list[str], table: Mapping[str, int], tokens: Mapping[str, int], d: int
 ) -> tuple[int, ...]:
-    """Freely reduced letters of the tokens read one by one: ``e``, ``^``,
-    names outside 1..d and the error cases.
+    """Freely reduced letters of the tokens read one by one.  A token in
+    ``tokens`` is its letter; any other is split into name, apostrophe and
+    caret count, and its name is looked up in ``table``.
 
     A caret run repeats one letter, so it cancels only at its seam with
     the letters before it: reducing while reading holds a long run once.

@@ -159,6 +159,18 @@ def test_importing_arbora_loads_no_dataclasses():
     assert proc.stdout == "[] []\n"
 
 
+def test_sources_parse_at_the_declared_python_floor():
+    # pyproject.toml's requires-python; only newer interpreters may run
+    # the tests, so the grammar of the floor is checked by ast
+    root = Path(arbora.__file__).resolve().parent
+    pyproject = (root.parent.parent / "pyproject.toml").read_text()
+    assert 'requires-python = ">=3.10"' in pyproject
+    sources = sorted(root.glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 

@@ -57,6 +57,14 @@ def test_run_all_skips_at_even_arity():
     assert all(r.ok for r in reports)
 
 
+def test_run_all_reports_at_odd_arity_above_9():
+    reports = run_all(11)
+    status = {r.check_id: r.status for r in reports}
+    assert [r.check_id for r in reports] == list(CHECK_IDS)
+    assert status.pop("free_semigroup") == status.pop("hk_and_branch") == "skip"
+    assert set(status.values()) == {"pass"}
+
+
 def test_individual_checks_at_larger_odd_arities():
     assert check_lemma_chains(build_table(7)).ok
     assert check_fractal_witnesses(build_table(7)).ok
@@ -86,8 +94,7 @@ def test_fractal_rows_hand_back_every_generator(monkeypatch, d):
 def test_lemma_chain_preconditions():
     with pytest.raises(ValueError):
         check_lemma_chains(build_table(4))
-    with pytest.raises(ValueError):
-        check_lemma_chains(build_table(11))
+    assert check_lemma_chains(build_table(11)).status == "pass"
     with pytest.raises(ValueError):
         check_fractal_witnesses(build_table(6))
     with pytest.raises(ValueError):

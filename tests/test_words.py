@@ -1,3 +1,5 @@
+from collections.abc import Mapping
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -288,6 +290,14 @@ def test_cyclic_normalize_long_conjugates():
 
 
 README_NAMES = {"x": 1, "y": 2, "z": 3}
+# names the token reader never looks up: ``e`` (the empty word), the
+# empty name and names holding an apostrophe or a caret
+ODD_NAMES = [
+    {**README_NAMES, "e": 2},
+    {**README_NAMES, "x'": 3},
+    {**README_NAMES, "p^2": 1},
+    {**README_NAMES, "": 2},
+]
 
 
 def parse_token_by_token(text, alphabet, names=None):
@@ -326,7 +336,7 @@ def outcome(parse, *args):
 TOKENS = st.sampled_from(
     ["a", "b'", "c", "a1", "a2'", "a3", "a4", "e", "a^3", "b'^2", "c^-2",
      "a^0", "x", "y'", "z^2", "x'^-1", "a''", "a'b", "^2", "a^x", "a^2^3",
-     "q", "'", "e'"]
+     "q", "'", "e'", "p", "p^2", "x'^2"]
 )
 
 
@@ -338,9 +348,10 @@ def test_parse_matches_token_by_token_reference(tokens, d):
     assert outcome(parse_word, text, alphabet) == outcome(
         parse_token_by_token, text, alphabet
     )
-    assert outcome(parse_word, text, alphabet, README_NAMES) == outcome(
-        parse_token_by_token, text, alphabet, README_NAMES
-    )
+    for names in (README_NAMES, *ODD_NAMES):
+        assert outcome(parse_word, text, alphabet, names) == outcome(
+            parse_token_by_token, text, alphabet, names
+        )
 
 
 @pytest.mark.parametrize("at", [0, 2, 4], ids=["first", "middle", "last"])
@@ -372,6 +383,19 @@ def test_parse_reads_a_general_token_anywhere(at, token, expected, names):
         assert parse_word(text, A3, names) == Word(A3, tuple(letters))
 
 
+class LookupOnly(Mapping):
+    """A name map that can be looked up but not walked."""
+
+    def __getitem__(self, name):
+        return README_NAMES[name]
+
+    def __iter__(self):
+        raise AssertionError("the parser walked the name map")
+
+    def __len__(self):
+        raise AssertionError("the parser sized the name map")
+
+
 def test_custom_names_are_read_on_each_call():
     names = {"x": 1, "y": 2}
     assert parse_word("x y'", A3, dict(names)).letters == (1, -2)
@@ -383,6 +407,8 @@ def test_custom_names_are_read_on_each_call():
             parse_word("x", A3, {"x": index})
     # unhashable items are read
     assert parse_word("x y'", A3, {"x": 1, "y": 2, "z": [3]}).letters == (1, -2)
+    # a custom map is looked up name by name, never walked
+    assert parse_word("x y'^2 e z", A3, LookupOnly()).letters == (1, -2, -2, 3)
 
 
 def test_parse_validates_names_outside_the_alphabet():
