@@ -89,6 +89,7 @@ def _positive(option: str, value: int | None) -> int | None:
 
 
 def _iter_words(args, table: RecursionTable):
+    names = _names_for(table)  # one map for every word of the command
     if args.words_file:
         if args.word is not None:
             raise ArboraError("give a word or --words-file, not both")
@@ -97,11 +98,11 @@ def _iter_words(args, table: RecursionTable):
                 for line in fh:
                     text = line.split("#", 1)[0].strip()
                     if text:
-                        yield _parse(table, text)
+                        yield parse_word(text, table.alphabet, names)
         except (OSError, UnicodeDecodeError) as exc:
             raise ArboraError(f"cannot read --words-file: {exc}") from exc
     elif args.word is not None:
-        yield _parse(table, args.word)
+        yield parse_word(args.word, table.alphabet, names)
     else:
         raise ArboraError("provide a word or --words-file")
 

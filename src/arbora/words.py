@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import repeat
-from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -96,7 +95,12 @@ class Alphabet(_Value):
 
 def reduce_letters(raw: Sequence[int]) -> tuple[int, ...]:
     """Freely reduce a raw signed-letter sequence (stack cancellation)."""
-    if 0 not in map(add, raw, raw[1:]):
+    previous = 0
+    for letter in raw:
+        if letter == -previous:
+            break
+        previous = letter
+    else:
         # no adjacent pair cancels, so the letters are reduced already
         return tuple(raw)
     out: list[int] = []
@@ -272,25 +276,21 @@ def parse_word(
     d = alphabet.d
     parts = text.split()
     if names is not None:
-        # no token is known whole: a name holding ' or ^, or named e, is
-        # read as the reader splits it
-        return _reduced(alphabet, _read_tokens(parts, names, {}, d))
+        return _reduced(alphabet, _read_tokens(parts, names, d))
     tokens = _default_tokens(d)
     try:
         letters = list(map(tokens.__getitem__, parts))
     except KeyError:
-        return _reduced(alphabet, _read_tokens(parts, tokens, tokens, d))
+        return _reduced(alphabet, _read_tokens(parts, tokens, d))
     if len(letters) > MAX_WORD_LETTERS:
         raise MalformedToken(f"word exceeds the {MAX_WORD_LETTERS} letter cap")
     return _reduced(alphabet, reduce_letters(letters))
 
 
-def _read_tokens(
-    parts: list[str], table: Mapping[str, int], tokens: Mapping[str, int], d: int
-) -> tuple[int, ...]:
-    """Freely reduced letters of the tokens read one by one.  A token in
-    ``tokens`` is its letter; any other is split into name, apostrophe and
-    caret count, and its name is looked up in ``table``.
+def _read_tokens(parts: list[str], names: Mapping[str, int], d: int) -> tuple[int, ...]:
+    """Freely reduced letters of the tokens read one by one.  Every token
+    is split into name, apostrophe and caret count, and its name is looked
+    up in ``names``.
 
     A caret run repeats one letter, so it cancels only at its seam with
     the letters before it: reducing while reading holds a long run once.
@@ -298,37 +298,32 @@ def _read_tokens(
     out: list[int] = []
     count = 0
     for token in parts:
-        letter = tokens.get(token)
-        run = 1
-        if letter is None:
-            if token == "e":
-                continue
-            body = token
-            exponent = 1
-            if "^" in body:
-                body, _, exp_text = body.partition("^")
-                try:
-                    exponent = int(exp_text)
-                except ValueError:
-                    raise MalformedToken(f"bad repetition count in token {token!r}")
-            sign = 1
-            if body.endswith("'"):
-                body = body[:-1]
-                sign = -1
-            if not body or "'" in body or "^" in body:
-                raise MalformedToken(f"cannot read token {token!r}")
-            index = table.get(body)
-            if index is None:
-                raise UnknownGenerator(f"unknown generator {body!r} for arity {d}")
-            # 1.0 and True compare like 1 but are no letter, as in Word()
-            if type(index) is not int:
-                raise UnknownGenerator(f"index {index!r} of {body!r} is not an int")
-            letter = index * sign * (1 if exponent >= 0 else -1)
-            run = abs(exponent)
-            if run and (letter == 0 or abs(letter) > d):
-                raise UnknownGenerator(
-                    f"letter {letter} outside +-1..{d} of the alphabet"
-                )
+        if token == "e":
+            continue
+        body = token
+        exponent = 1
+        if "^" in body:
+            body, _, exp_text = body.partition("^")
+            try:
+                exponent = int(exp_text)
+            except ValueError:
+                raise MalformedToken(f"bad repetition count in token {token!r}")
+        sign = 1
+        if body.endswith("'"):
+            body = body[:-1]
+            sign = -1
+        if not body or "'" in body or "^" in body:
+            raise MalformedToken(f"cannot read token {token!r}")
+        index = names.get(body)
+        if index is None:
+            raise UnknownGenerator(f"unknown generator {body!r} for arity {d}")
+        # 1.0 and True compare like 1 but are no letter, as in Word()
+        if type(index) is not int:
+            raise UnknownGenerator(f"index {index!r} of {body!r} is not an int")
+        letter = index * sign * (1 if exponent >= 0 else -1)
+        run = abs(exponent)
+        if run and (letter == 0 or abs(letter) > d):
+            raise UnknownGenerator(f"letter {letter} outside +-1..{d} of the alphabet")
         count += run
         if count > MAX_WORD_LETTERS:
             raise MalformedToken(f"word exceeds the {MAX_WORD_LETTERS} letter cap")

@@ -347,6 +347,28 @@ def test_table_names_override_aliases(capsys, tmp_path):
     assert code == 2  # canonical names are not valid for a custom table
 
 
+@pytest.mark.parametrize("command", ["identity", "expsum"])
+def test_a_words_file_builds_the_name_map_once(capsys, tmp_path, monkeypatch, command):
+    table = tmp_path / "readme.txt"
+    table.write_text("x = (e, e, x) (1 2 3)\ny = (y, e, e) ()\nz = (e, z, e) (1 3)\n")
+    words = ["x y' z^2", "y y", "x'^3 z"]
+
+    def answer(*lines):
+        path = tmp_path / "words.txt"
+        path.write_text("".join(line + "\n" for line in lines))
+        return run(capsys, command, "--table", str(table), "--words-file", str(path))
+
+    # a batch prints what the words print one by one
+    expected = (0, "".join(answer(word)[1] for word in words), "")
+    calls = []
+    names_for = arbora.cli._names_for
+    monkeypatch.setattr(
+        arbora.cli, "_names_for", lambda table: calls.append(table) or names_for(table)
+    )
+    assert answer(*words) == expected
+    assert len(calls) == 1
+
+
 def readme_examples():
     """The arguments of each ``$ arbora ...`` line of README.md and the
     output lines shown under it."""

@@ -298,10 +298,14 @@ ODD_NAMES = [
     {**README_NAMES, "p^2": 1},
     {**README_NAMES, "": 2},
 ]
+# indices the reader checks: 0 and 4 give no letter at arity 3 (4 does at
+# arity 4), -1 names the inverse of a1
+INDEX_NAMES = [{**README_NAMES, "y": index} for index in (0, 4, -1)]
 
 
 def parse_token_by_token(text, alphabet, names=None):
-    """Reference reader: each token on its own, then the public constructor."""
+    """Reference reader: each token on its own through the public
+    constructor, then the whole word through it."""
     if names is None:
         names = {f"a{i}": i for i in alphabet.indices()}
         if alphabet.d == 3:
@@ -322,7 +326,7 @@ def parse_token_by_token(text, alphabet, names=None):
         if body not in names:
             raise UnknownGenerator(body)
         letter = names[body] * sign * (1 if exponent >= 0 else -1)
-        letters += [letter] * abs(exponent)
+        letters += Word(alphabet, (letter,) * abs(exponent)).letters
     return Word(alphabet, tuple(letters))
 
 
@@ -336,7 +340,7 @@ def outcome(parse, *args):
 TOKENS = st.sampled_from(
     ["a", "b'", "c", "a1", "a2'", "a3", "a4", "e", "a^3", "b'^2", "c^-2",
      "a^0", "x", "y'", "z^2", "x'^-1", "a''", "a'b", "^2", "a^x", "a^2^3",
-     "q", "'", "e'", "p", "p^2", "x'^2"]
+     "q", "'", "e'", "p", "p^2", "x'^2", "y^0"]
 )
 
 
@@ -348,7 +352,7 @@ def test_parse_matches_token_by_token_reference(tokens, d):
     assert outcome(parse_word, text, alphabet) == outcome(
         parse_token_by_token, text, alphabet
     )
-    for names in (README_NAMES, *ODD_NAMES):
+    for names in (README_NAMES, *ODD_NAMES, *INDEX_NAMES):
         assert outcome(parse_word, text, alphabet, names) == outcome(
             parse_token_by_token, text, alphabet, names
         )
