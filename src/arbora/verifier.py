@@ -8,8 +8,8 @@ freeness of the positive words, first-slot lifts at arity 3, and the
 parity facts that separate odd from even arity.
 
 Laws that are homomorphisms from the free group, such as the count
-laws and the arity-3 parity law, are checked on the generators, since
-two homomorphisms that agree on the generators agree on every word.
+laws and the parity law, are checked on the generators, since two
+homomorphisms that agree on the generators agree on every word.
 
 Closed-form expectations are data.  A wreath row ``(w, perm, {slot:
 letters}, label)`` gives the root permutation of w and its nontrivial
@@ -42,9 +42,10 @@ that rule, which finds trivial squares such as a a on a table with
 a = (a, a, e) (1 2).
 
 Checks return Report records instead of raising on mathematical
-failure, so a batch run can show exactly which identity broke.  Checks
-that only make sense at some arities raise ValueError elsewhere, and
-run_all reports "skip" for every check it does not run at an arity.
+failure, so a batch run can show exactly which identity broke.  Each
+check judges only the table it is given: one that makes sense only at
+some arities returns a "skip" report, with its reason, at the others,
+so run_all hands every check the one table of arity d.
 """
 
 from __future__ import annotations
@@ -234,7 +235,7 @@ def check_lemma_chains(table: RecursionTable) -> Report:
     chain element back at vertex 1 (or 2 for the full product)."""
     d = table.alphabet.d
     if d % 2 == 0:
-        raise ValueError(f"chain check needs odd arity, got {d}")
+        return _skip("lemma_chains", "needs odd arity")
     cat = catalog(d)
     g, h = cat["g"], cat["h"]
     perms = [
@@ -296,19 +297,21 @@ def check_noncontracting_witness(table: RecursionTable) -> Report:
 # 5. transitivity on levels
 
 
-def check_transitivity(table: RecursionTable, max_level: int) -> Report:
-    """The generator orbit of the leftmost vertex at max_level is the whole
-    level.  A transitive level maps onto every level above it, so one
-    orbit decides levels 1..max_level."""
+def check_transitivity(table: RecursionTable) -> Report:
+    """The generator orbit of the leftmost vertex at one level is the whole
+    level: level 4 at arity 3, 2 at other odd arities and 1 at even ones.
+    A transitive level maps onto every level above it, so one orbit
+    decides all levels up to it."""
     d = table.alphabet.d
-    size = len(_orbit_numbers(table, (1,) * max_level))
+    level = 4 if d == 3 else 2 if d % 2 else 1
+    size = len(_orbit_numbers(table, (1,) * level))
     problems = []
-    if size != d**max_level:
-        problems.append(f"level {max_level} orbit has size {size} != {d ** max_level}")
+    if size != d**level:
+        problems.append(f"level {level} orbit has size {size} != {d ** level}")
     return _finish(
         "transitivity",
         problems,
-        f"levels 1..{max_level} are single orbits at arity {d}",
+        f"levels 1..{level} are single orbits at arity {d}",
     )
 
 
@@ -322,7 +325,7 @@ def check_fractal_witnesses(table: RecursionTable) -> Report:
     A = table.alphabet
     d = A.d
     if d % 2 == 0:
-        raise ValueError(f"first-level recovery needs odd arity, got {d}")
+        return _skip("fractal_witnesses", "needs odd arity")
     cat = catalog(d)
     problems: list[str] = []
 
@@ -374,7 +377,7 @@ def check_branch_witnesses(table: RecursionTable) -> Report:
     A = table.alphabet
     d = A.d
     if d % 2 == 0:
-        raise ValueError(f"support alignment needs odd arity, got {d}")
+        return _skip("branch_witnesses", "needs odd arity")
     cat = catalog(d)
     problems: list[str] = []
 
@@ -526,7 +529,7 @@ def check_hk_and_branch(table: RecursionTable) -> Report:
     """Two arity-3 words fix level one and carry a chosen element at
     vertex 1 with trivial siblings: c' a and (a b)**2."""
     if table.alphabet.d != 3:
-        raise ValueError(f"first-slot lifts need arity 3, got {table.alphabet.d}")
+        return _skip("hk_and_branch", "first-slot lifts are stated at arity 3")
     cat = catalog(3)
     ident = Permutation.identity(3)
     lifts = [
@@ -543,37 +546,31 @@ def check_hk_and_branch(table: RecursionTable) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# 10. parity at arity 3 and the even-arity counterexample
+# 10. parity of root permutations and the arity-4 counterexample
 
 
-def check_parity_and_even_d(
-    table3: RecursionTable, table4: RecursionTable
-) -> Report:
-    """At arity 3 a word's root permutation has the parity of its length,
-    so level-one stabilizer words have even length; at arity 4 the
-    catalog word w4, whose counts are nonzero, folds to the identity.
+def check_parity_and_even_d(table: RecursionTable) -> Report:
+    """A word's root permutation has the parity of its length, so level-one
+    stabilizer words have even length; at arity 4 the catalog word w4,
+    whose counts are nonzero, also folds to the identity.
 
     The sign of the root permutation and the length mod 2 are both
     homomorphisms to Z/2, so the parity law holds on every word once each
     generator's root permutation is odd."""
-    if (table3.alphabet.d, table4.alphabet.d) != (3, 4):
-        raise ValueError("parity check needs the arity-3 and arity-4 tables")
+    d = table.alphabet.d
     problems = [
         f"permutation parity disagrees with length for {name}"
-        for name, perm in zip(table3.names, table3.perms)
+        for name, perm in zip(table.names, table.perms)
         if sum(len(c) - 1 for c in perm.cycles()) % 2 != 1
     ]
-
-    w4 = catalog(4)["w4"]
-    _expect_wreath_rows(
-        table4, [(w4, Permutation.identity(4), {}, "arity-4 trivial word")], problems
-    )
-    return _finish(
-        "parity_and_even_d",
-        problems,
-        "root permutations of all 3 generators odd, so stabilizer words have "
-        f"even length; arity-4 trivial word has counts {exponent_vector(w4)}",
-    )
+    detail = (f"root permutations of all {d} generators odd, so stabilizer "
+              "words have even length")
+    if d == 4:
+        w4 = catalog(4)["w4"]
+        row = (w4, Permutation.identity(4), {}, "arity-4 trivial word")
+        _expect_wreath_rows(table, [row], problems)
+        detail += f"; arity-4 trivial word has counts {exponent_vector(w4)}"
+    return _finish("parity_and_even_d", problems, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -581,37 +578,22 @@ def check_parity_and_even_d(
 
 
 def run_all(d: int) -> list[Report]:
-    """Run every check at arity d in a fixed order; checks that need a
-    different arity report "skip" rather than being dropped."""
+    """Run every check on the one table of arity d, in CHECK_IDS order; a
+    check that needs another arity reports "skip" rather than being
+    dropped, and the free-semigroup sweep runs at desk scale at arity 3
+    only."""
     table = build_table(d)
-    odd = d % 2 == 1
-    reports = [check_exponent_laws(table), check_section_tables(table)]
-    reports.append(
-        check_lemma_chains(table) if odd else _skip("lemma_chains", "needs odd arity")
-    )
-    reports.append(check_noncontracting_witness(table))
-    reports.append(check_transitivity(table, 4 if d == 3 else 2 if odd else 1))
-    reports.append(
-        check_fractal_witnesses(table)
-        if odd
-        else _skip("fractal_witnesses", "needs odd arity")
-    )
-    reports.append(
-        check_branch_witnesses(table)
-        if odd
-        else _skip("branch_witnesses", "needs odd arity")
-    )
-    reports.append(
+    return [
+        check_exponent_laws(table),
+        check_section_tables(table),
+        check_lemma_chains(table),
+        check_noncontracting_witness(table),
+        check_transitivity(table),
+        check_fractal_witnesses(table),
+        check_branch_witnesses(table),
         check_free_semigroup(table, 5)
         if d == 3
-        else _skip("free_semigroup", "run separately; desk scale targets arity 3")
-    )
-    reports.append(
-        check_hk_and_branch(table)
-        if d == 3
-        else _skip("hk_and_branch", "first-slot lifts are stated at arity 3")
-    )
-    # the parity check reads both small tables; the one of arity d is at hand
-    tables = [table if k == d else build_table(k) for k in (3, 4)]
-    reports.append(check_parity_and_even_d(*tables))
-    return reports
+        else _skip("free_semigroup", "run separately; desk scale targets arity 3"),
+        check_hk_and_branch(table),
+        check_parity_and_even_d(table),
+    ]

@@ -413,3 +413,19 @@ def test_golden_output(capsys, case):
     # detail, count and exit code the verifier reports stays as recorded
     code, out, err = run(capsys, *case["argv"])
     assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
+
+
+def test_module_entry_point_prints_the_golden_report():
+    # python -m arbora.cli goes through the module's __main__ guard, in a
+    # fresh process with the source tree on the path
+    (case,) = [c for c in json.loads(GOLDEN.read_text())
+               if c["argv"][:3] == ["verify-paper", "--d", "3"]]
+    src = str(Path(arbora.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "arbora.cli", "verify-paper", "--d", "3"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, case["stdout"], "")

@@ -65,6 +65,20 @@ def test_run_all_reports_at_odd_arity_above_9():
     assert set(status.values()) == {"pass"}
 
 
+@pytest.mark.parametrize("d", range(3, 10))
+def test_run_all_builds_one_table(monkeypatch, d):
+    # every check is handed the one table of arity d
+    built = []
+
+    def counting(k):
+        built.append(k)
+        return build_table(k)
+
+    monkeypatch.setattr("arbora.verifier.build_table", counting)
+    assert [r.check_id for r in run_all(d)] == list(CHECK_IDS)
+    assert built == [d]
+
+
 def test_individual_checks_at_larger_odd_arities():
     assert check_lemma_chains(build_table(7)).ok
     assert check_fractal_witnesses(build_table(7)).ok
@@ -92,34 +106,40 @@ def test_fractal_rows_hand_back_every_generator(monkeypatch, d):
 
 
 def test_lemma_chain_preconditions():
-    with pytest.raises(ValueError):
-        check_lemma_chains(build_table(4))
+    # a check answers for the table it is given: at an arity where its
+    # identities are not stated it reports "skip" with the reason
+    for check, table, reason in (
+        (check_lemma_chains, build_table(4), "needs odd arity"),
+        (check_fractal_witnesses, build_table(6), "needs odd arity"),
+        (check_branch_witnesses, build_table(4), "needs odd arity"),
+        (check_hk_and_branch, build_table(5), "first-slot lifts are stated at arity 3"),
+    ):
+        rep = check(table)
+        assert (rep.status, rep.detail, rep.data) == ("skip", reason, {})
+        assert rep.ok
     assert check_lemma_chains(build_table(11)).status == "pass"
-    with pytest.raises(ValueError):
-        check_fractal_witnesses(build_table(6))
-    with pytest.raises(ValueError):
-        check_branch_witnesses(build_table(4))
-    with pytest.raises(ValueError):
-        check_hk_and_branch(build_table(5))
-    with pytest.raises(ValueError):
-        check_parity_and_even_d(build_table(5), build_table(4))
 
 
 def test_transitivity_check():
-    t = build_table(3)
-    rep = check_transitivity(t, 3)
+    rep = check_transitivity(build_table(3))
     assert rep.status == "pass"
-    assert rep.detail == "levels 1..3 are single orbits at arity 3"
+    assert rep.detail == "levels 1..4 are single orbits at arity 3"
 
 
 def test_transitivity_check_fails_below_a_transitive_level():
-    # a rooted 3-cycle moves level one transitively but never changes the
-    # second letter of a vertex, so the level-2 orbit of 11 has 3 vertices
+    # a rooted cycle moves level one transitively but never changes the
+    # later letters of a vertex, so the orbit of 1111 at arity 3 has 3
+    # vertices; at arity 4 the check asks only level one, which passes
     rooted = load_table("a = (e, e, e) (1 2 3)\nb = (e, e, e) ()\nc = (e, e, e) ()\n")
-    assert check_transitivity(rooted, 1).status == "pass"
-    rep = check_transitivity(rooted, 2)
+    rep = check_transitivity(rooted)
     assert rep.status == "fail"
-    assert rep.detail == "level 2 orbit has size 3 != 9"
+    assert rep.detail == "level 4 orbit has size 3 != 81"
+    rooted4 = load_table(
+        "a1 = (e, e, e, e) (1 2 3 4)\na2 = (e, e, e, e) ()\n"
+        "a3 = (e, e, e, e) ()\na4 = (e, e, e, e) ()\n"
+    )
+    rep = check_transitivity(rooted4)
+    assert (rep.status, rep.detail) == ("pass", "levels 1..1 are single orbits at arity 4")
 
 
 def test_exponent_laws_fail_on_a_broken_table():
@@ -254,12 +274,11 @@ def test_parity_check_catches_an_even_generator():
     # others: a generator has odd length, so the 9 even replacements break
     # the parity law and the 6 odd ones keep it
     base = build_table(3)
-    table4 = build_table(4)
     statuses = []
     for table in single_cell_mutations(base):
         if table.sections != base.sections:
             continue
-        rep = check_parity_and_even_d(table, table4)
+        rep = check_parity_and_even_d(table)
         (changed,) = [p for p, q in zip(table.perms, base.perms) if p != q]
         even = changed.images in {(1, 2, 3), (2, 3, 1), (3, 1, 2)}
         assert rep.ok != even
@@ -273,18 +292,17 @@ def test_every_check_on_the_single_cell_mutations():
     # every check judges the table it is given; on the 204 single-cell
     # mutations of the arity-3 table the closed-form checks fail on all of
     # them, and the other checks on those the pinned counts record
-    table4 = build_table(4)
     checks = {
         "exponent_laws": check_exponent_laws,
         "section_tables": check_section_tables,
         "lemma_chains": check_lemma_chains,
         "noncontracting_witness": check_noncontracting_witness,
-        "transitivity": lambda t: check_transitivity(t, 4),
+        "transitivity": check_transitivity,
         "fractal_witnesses": check_fractal_witnesses,
         "branch_witnesses": check_branch_witnesses,
         "free_semigroup": lambda t: check_free_semigroup(t, 3),
         "hk_and_branch": check_hk_and_branch,
-        "parity_and_even_d": lambda t: check_parity_and_even_d(t, table4),
+        "parity_and_even_d": check_parity_and_even_d,
     }
     assert list(checks) == list(CHECK_IDS)
     mutants = list(single_cell_mutations(build_table(3)))
@@ -407,11 +425,12 @@ def test_closed_forms_never_decide_the_word_problem(monkeypatch):
             check_noncontracting_witness,
             check_fractal_witnesses,
             check_branch_witnesses,
+            check_transitivity,
+            check_parity_and_even_d,
         ):
             assert check(table).status == "pass"
-        assert check_transitivity(table, 2).status == "pass"
     assert check_hk_and_branch(build_table(3)).status == "pass"
-    assert check_parity_and_even_d(build_table(3), build_table(4)).status == "pass"
+    assert check_parity_and_even_d(build_table(4)).status == "pass"
 
 
 def test_branch_witnesses_catch_distant_generators_that_do_not_commute():
@@ -542,9 +561,26 @@ def test_free_semigroup_flags_even_arity_coincidences():
 
 
 def test_parity_check():
-    rep = check_parity_and_even_d(build_table(3), build_table(4))
+    rep = check_parity_and_even_d(build_table(3))
     assert rep.status == "pass"
     assert rep.detail == (
         "root permutations of all 3 generators odd, so stabilizer words have "
+        "even length"
+    )
+    rep = check_parity_and_even_d(build_table(4))
+    assert rep.status == "pass"
+    assert rep.detail == (
+        "root permutations of all 4 generators odd, so stabilizer words have "
         "even length; arity-4 trivial word has counts (-1, 1, -1, 1)"
     )
+
+
+def test_parity_check_reads_the_w4_row_from_the_table_it_is_given():
+    # a1's root permutation (1 2) replaced by (3 4): every generator stays
+    # odd, so only the w4 row of the arity-4 table itself can catch it
+    table = build_table(4)
+    perms = (Permutation.transposition(4, 3, 4), *table.perms[1:])
+    broken = RecursionTable(table.alphabet, table.names, table.sections, perms)
+    rep = check_parity_and_even_d(broken)
+    assert rep.status == "fail"
+    assert rep.detail == "arity-4 trivial word: permutation (1 3)(2 4) != expected ()"
